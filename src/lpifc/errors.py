@@ -45,6 +45,10 @@ class DecompositionFailure(ArithmeticError):
     """A matrix fell outside the represented subalgebra; signals a bug."""
 
 
+class InternalError(ArithmeticError):
+    """An exact computation contradicted a fixed closed form; signals a bug."""
+
+
 class StillInL(RuntimeError):
     """Witness extraction inconclusive: no tried conjugate left the L ideal."""
 

@@ -73,10 +73,12 @@ class Field:
             if value.field != self:
                 raise InvalidParameter("cannot mix elements of different fields")
             return value
-        if isinstance(value, Fraction):
-            return self.from_fraction(value.numerator, value.denominator)
+        # int before Fraction: an isinstance check against Fraction goes
+        # through the numbers ABCs and is several times slower.
         if isinstance(value, int):
             return FieldElem(self, Fraction(value) if self.p == 0 else value % self.p)
+        if isinstance(value, Fraction):
+            return self.from_fraction(value.numerator, value.denominator)
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def from_fraction(self, num: int, den: int) -> "FieldElem":
@@ -555,6 +557,97 @@ class Mat2Poly:
 
     def render(self) -> list[list[str]]:
         return [[str(p) for p in row] for row in self.e]
+
+
+# -- raw-coefficient 2x2 kernel ---------------------------------------------
+#
+# Word images are computed on plain Python numbers and converted to Mat2Poly
+# once, at the end.  A raw polynomial is a tuple of coefficients by ascending
+# degree with no trailing zeros; a raw matrix is the row-major 4-tuple of its
+# entries.  ``p`` is the characteristic: over F_p every coefficient is an int
+# in [0, p), over Q (p = 0) an int when integral and a Fraction otherwise, so
+# integral images never pay for Fraction arithmetic.
+
+RawPoly = tuple
+RawMat = tuple[RawPoly, RawPoly, RawPoly, RawPoly]
+
+RAW_IDENTITY: RawMat = ((1,), (), (), (1,))
+
+
+def _raw_norm(cs: list, p: int) -> RawPoly:
+    """Reduce mod p (or demote integral Fractions to int) and strip zeros."""
+    if p:
+        cs = [c % p for c in cs]
+    else:
+        cs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _raw_add(f: RawPoly, g: RawPoly, p: int) -> RawPoly:
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return _raw_norm(out, p)
+
+
+def _raw_conv(out: list, f: RawPoly, g: RawPoly) -> None:
+    """Accumulate the product f*g into the coefficient list ``out``."""
+    n = len(g)
+    for i, a in enumerate(f):
+        if a:
+            out[i : i + n] = [o + a * b for o, b in zip(out[i : i + n], g)]
+
+
+def _raw_mul(f: RawPoly, g: RawPoly, p: int) -> RawPoly:
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    _raw_conv(out, f, g)
+    return _raw_norm(out, p)
+
+
+def _raw_dot(f1: RawPoly, g1: RawPoly, f2: RawPoly, g2: RawPoly, p: int) -> RawPoly:
+    """f1*g1 + f2*g2, reduced once."""
+    out = [0] * (max(len(f1) + len(g1), len(f2) + len(g2)) - 1)
+    _raw_conv(out, f1, g1)
+    _raw_conv(out, f2, g2)
+    return _raw_norm(out, p)
+
+
+def _raw_mat_mul(m: RawMat, n: RawMat, p: int) -> RawMat:
+    a, b, c, d = m
+    e, f, g, h = n
+    return (
+        _raw_dot(a, e, b, g, p),
+        _raw_dot(a, f, b, h, p),
+        _raw_dot(c, e, d, g, p),
+        _raw_dot(c, f, d, h, p),
+    )
+
+
+def _raw_mat_pow(m: RawMat, k: int, p: int) -> RawMat:
+    """m^k for k >= 0 by binary powering."""
+    result = None
+    while k:
+        if k & 1:
+            result = m if result is None else _raw_mat_mul(result, m, p)
+        k >>= 1
+        if k:
+            m = _raw_mat_mul(m, m, p)
+    return RAW_IDENTITY if result is None else result
+
+
+def _raw_from_mat(m: Mat2Poly) -> RawMat:
+    return tuple(_raw_norm([c.v for c in poly.coeffs], m.field.p) for row in m.e for poly in row)
+
+
+def _raw_to_mat(field: Field, m: RawMat) -> Mat2Poly:
+    a, b, c, d = (UniPoly(field, cs) for cs in m)
+    return Mat2Poly(field, ((a, b), (c, d)))
 
 
 def mat_inv(m: Mat2Poly) -> Mat2Poly:

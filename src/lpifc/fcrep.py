@@ -11,11 +11,12 @@ A, B, C, D in K[T]; :class:`FCMat` stores that decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DecompositionFailure,
+    InternalError,
     InvalidLetter,
     InvalidParameter,
     NoSigmaTau,
@@ -23,7 +24,23 @@ from .errors import (
     StillInL,
     ZeroPolynomial,
 )
-from .exactalg import Field, FieldElem, Mat2Poly, ScalarMat, UniPoly, scalar_mat
+from .exactalg import (
+    RAW_IDENTITY,
+    Field,
+    FieldElem,
+    Mat2Poly,
+    RawMat,
+    ScalarMat,
+    UniPoly,
+    _raw_add,
+    _raw_from_mat,
+    _raw_mat_mul,
+    _raw_mat_pow,
+    _raw_mul,
+    _raw_norm,
+    _raw_to_mat,
+    scalar_mat,
+)
 from .laurent import LaurentPoly
 from .linalg import nullspace, rank
 from .parsing import TokenStream, read_coefficient
@@ -183,21 +200,62 @@ def in_L(m: FCMat) -> bool:
 
 @dataclass(frozen=True)
 class UnitPair:
-    """Images of a pair of units together with their exact inverses."""
+    """Images of a pair of units together with their exact inverses.
+
+    The pair also keeps the raw-coefficient images of u, v, u^-1, v^-1 and a
+    cache of word images: every word prefix that ends at a block boundary and
+    has been evaluated, so the cache lives exactly as long as the pair.
+    """
 
     kind: str
     u: Mat2Poly
     v: Mat2Poly
     u_inv: Mat2Poly
     v_inv: Mat2Poly
+    _gens: tuple[RawMat, ...] = dc_field(init=False, repr=False, compare=False)
+    _images: dict[Word, RawMat] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        field = self.u.field
+        if any(m.field != field for m in (self.v, self.u_inv, self.v_inv)):
+            raise InvalidParameter("unit images and inverses must share one field")
         for m in (self.u, self.v):
             det = m.det()
             if det.degree != 0:
                 raise InvalidParameter("unit images must have constant nonzero determinant")
-        assert self.u * self.u_inv == Mat2Poly.identity(self.u.field)
-        assert self.v * self.v_inv == Mat2Poly.identity(self.v.field)
+        # Order: u, v, u^-1, v^-1, so generator g with exponent sign s is
+        # _gens[g + 2 * (s < 0)].
+        gens = tuple(_raw_from_mat(m) for m in (self.u, self.v, self.u_inv, self.v_inv))
+        if _raw_mat_mul(gens[0], gens[2], field.p) != RAW_IDENTITY:
+            raise InvalidParameter("u_inv is not the inverse of u")
+        if _raw_mat_mul(gens[1], gens[3], field.p) != RAW_IDENTITY:
+            raise InvalidParameter("v_inv is not the inverse of v")
+        object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_images", {})
+
+    def _image(self, w: Word) -> RawMat:
+        """The raw image of w: start from the longest cached block prefix
+        and extend it block by block, each block a binary power."""
+        images = self._images
+        img = images.get(w)
+        if img is not None:
+            return img
+        blocks = w.blocks
+        start, img = 0, RAW_IDENTITY
+        for k in range(len(blocks) - 1, 0, -1):
+            hit = images.get(Word(blocks[:k]))
+            if hit is not None:
+                start, img = k, hit
+                break
+        p = self.u.field.p
+        for k in range(start, len(blocks)):
+            gen, exp = blocks[k]
+            if gen > 1:
+                raise InvalidParameter("evaluation needs a two-variable word; reduce first")
+            step = _raw_mat_pow(self._gens[gen + 2 * (exp < 0)], abs(exp), p)
+            img = step if k == 0 else _raw_mat_mul(img, step, p)
+            images[w if k == len(blocks) - 1 else Word(blocks[: k + 1])] = img
+        return img
 
 
 def _one_plus(field: Field, mon: tuple[int, ...], sign: int = 1) -> Mat2Poly:
@@ -218,14 +276,13 @@ def unit_pair(kind: str, field: Field) -> UnitPair:
     if kind in ("primary", "swapped"):
         u = _one_plus(field, (0, 1, 0)) * (one + b)
         v = _one_plus(field, (0, 1, 0)) * (one + inner)
-        # Fixed displays of the primary pair, asserted at construction.
+        # Fixed displays of the primary pair, checked at construction.
         T = UniPoly.T(field)
         t2 = UniPoly.monomial(field, 2)
-        assert u == Mat2Poly(field, ((UniPoly.one(field) + t2, T), (T, UniPoly.one(field))))
-        assert v == Mat2Poly(
-            field,
-            ((UniPoly.one(field) - T + t2, t2), (T, UniPoly.one(field) + T)),
-        )
+        if u != Mat2Poly(field, ((UniPoly.one(field) + t2, T), (T, UniPoly.one(field)))):
+            raise InternalError(f"primary u = {u} differs from its fixed display")
+        if v != Mat2Poly(field, ((UniPoly.one(field) - T + t2, t2), (T, UniPoly.one(field) + T))):
+            raise InternalError(f"primary v = {v} differs from its fixed display")
         if kind == "swapped":
             u, v = v, u
     elif kind == "alternate":
@@ -239,14 +296,7 @@ def unit_pair(kind: str, field: Field) -> UnitPair:
 
 def eval_word(w: Word, up: UnitPair) -> Mat2Poly:
     """The image of a word: the block product of unit powers and inverses."""
-    field = up.u.field
-    out = Mat2Poly.identity(field)
-    for gen, exp in w.blocks:
-        if gen > 1:
-            raise InvalidParameter("evaluation needs a two-variable word; reduce first")
-        base = (up.u if exp > 0 else up.u_inv) if gen == 0 else (up.v if exp > 0 else up.v_inv)
-        out = out * base ** abs(exp)
-    return out
+    return _raw_to_mat(up.u.field, up._image(w))
 
 
 def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
@@ -257,10 +307,12 @@ def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
             "evaluation needs a two-variable polynomial; apply reduce_to_two_vars first"
         )
     field = up.u.field
-    out = Mat2Poly.zero(field)
+    p = field.p
+    out: RawMat = ((), (), (), ())
     for w, c in f.terms.items():
-        out = out + eval_word(w, up).scale(field(c))
-    return out
+        scalar = _raw_norm([field(c).v], p)
+        out = tuple(_raw_add(o, _raw_mul(e, scalar, p), p) for o, e in zip(out, up._image(w)))
+    return _raw_to_mat(field, out)
 
 
 _TABLE_ENTRIES = {
@@ -331,10 +383,6 @@ def phi_images_independent(field: Field, max_len: int) -> bool:
 
 _LinForm = list  # dense row of FieldElem over the unknown vector
 _LinPoly = list  # list of _LinForm, index = T-degree
-
-
-def _lp_zero(field: Field, n_unknowns: int) -> _LinPoly:
-    return []
 
 
 def _lp_add(field: Field, p: _LinPoly, q: _LinPoly, n: int) -> _LinPoly:
@@ -691,5 +739,6 @@ def p1_fails_on_fc(g: UniPoly) -> bool:
     if g.is_zero:
         raise ZeroPolynomial("the property is stated for nonzero polynomials")
     witness = g_at_alphabeta(g)
-    assert not witness.is_zero
+    if witness.is_zero:
+        raise InternalError(f"g(ab) vanished for the nonzero polynomial {g}")
     return True

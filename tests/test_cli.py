@@ -1,8 +1,16 @@
 """CLI surface: exit codes, JSON schemas, determinism."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from lpifc.cli import main
+
+# Exact --json stdout and exit codes of `eval` and `verify-tables`, recorded
+# with the Mat2Poly evaluation route (commit 0676dcd) before word images
+# moved to the raw-coefficient kernel.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -213,3 +221,10 @@ def test_invalid_field_rejected(capsys):
     code, _, err = run(capsys, "obstruct", "X", "--field", "4")
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:-1]))
+def test_golden_eval_and_verify_tables(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]

@@ -2,10 +2,16 @@
 the leading-term table, L-membership, the conjugation system, and witness
 extraction."""
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lpifc
 from lpifc.errors import InvalidLetter, StillInL, ZeroPolynomial
 from lpifc.exactalg import Field, Mat2Poly, UniPoly, mat_inv, scalar_mat
 from lpifc.fcrep import (
@@ -145,6 +151,119 @@ def test_eval_word_inverse_is_matrix_inverse():
     up = unit_pair("primary", Q)
     for w in enum_words(3):
         assert eval_word(w.inv(), up) == mat_inv(eval_word(w, up))
+
+
+# -- the raw-coefficient kernel against the Mat2Poly route ------------------------
+
+F5 = Field(5)
+PAIR_KINDS = ("primary", "alternate", "swapped")
+
+
+def _mat2poly_route(w, up):
+    """Independent route: a left-to-right Mat2Poly product of generator
+    powers, negative powers inverted by the adjugate."""
+    out = Mat2Poly.identity(up.u.field)
+    for gen, exp in w.blocks:
+        out = out * (up.u, up.v)[gen] ** exp
+    return out
+
+
+def _assert_fraction_coeffs(m):
+    assert all(isinstance(c.v, Fraction) for row in m.e for p in row for c in p.coeffs)
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_eval_word_matches_mat2poly_route(field, kind):
+    from lpifc.search import enum_words
+
+    words = list(enum_words(3))
+    expected = {w: _mat2poly_route(w, unit_pair(kind, field)) for w in words}
+    # Ascending order hits the cached prefixes; descending order fills the
+    # cache from the longest words first.
+    for order in (words, words[::-1]):
+        up = unit_pair(kind, field)
+        for w in order:
+            img = eval_word(w, up)
+            assert img == expected[w], w.render()
+            if field == Q:
+                _assert_fraction_coeffs(img)
+
+
+def test_eval_matches_mat2poly_route_on_rational_pair():
+    from lpifc.fcrep import UnitPair
+    from lpifc.search import enum_words
+
+    def mat(rows):
+        return Mat2Poly(Q, tuple(tuple(UniPoly(Q, [Fraction(c) for c in e]) for e in r) for r in rows))
+
+    u = mat(((("1",), ("0", "1/2")), ((), ("1",))))
+    u_inv = mat(((("1",), ("0", "-1/2")), ((), ("1",))))
+    v = mat(((("2",), ()), (("0", "1/3"), ("1/2",))))
+    v_inv = mat(((("1/2",), ()), (("0", "-1/3"), ("2",))))
+    up = UnitPair("rational", u, v, u_inv, v_inv)
+    saw_fraction = False
+    for w in enum_words(3):
+        img = eval_word(w, up)
+        assert img == _mat2poly_route(w, up), w.render()
+        _assert_fraction_coeffs(img)
+        saw_fraction |= any(c.v.denominator > 1 for row in img.e for p in row for c in p.coeffs)
+    assert saw_fraction
+    f = parse_laurent("3/2*X*Y^-1 - 1/5*Y^2*X + 7", Q)
+    expected = Mat2Poly.zero(Q)
+    for w, c in f.terms.items():
+        expected = expected + _mat2poly_route(w, up).scale(c)
+    assert eval_laurent(f, up) == expected
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_eval_large_powers_over_f5(kind):
+    up = unit_pair(kind, F5)
+    for text in ("X^64", "Y^-40"):
+        w = parse_word(text)
+        assert eval_word(w, up) == _mat2poly_route(w, unit_pair(kind, F5)), text
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
+def test_eval_laurent_matches_mat2poly_route(field):
+    from lpifc.search import enum_words, random_laurent
+
+    rng = random.Random(7)
+    pool = list(enum_words(3))
+    for kind in PAIR_KINDS:
+        up = unit_pair(kind, field)
+        for _ in range(20):
+            f = random_laurent(rng, field, pool)
+            expected = Mat2Poly.zero(field)
+            for w, c in f.terms.items():
+                expected = expected + _mat2poly_route(w, up).scale(c)
+            img = eval_laurent(f, up)
+            assert img == expected, f.render()
+            if field == Q:
+                _assert_fraction_coeffs(img)
+
+
+def test_unit_pair_checks_survive_optimize_flag():
+    # The inverse check is an explicit exception, so python -O keeps it.
+    code = (
+        "import sys\n"
+        "from lpifc.errors import InvalidParameter\n"
+        "from lpifc.exactalg import Field\n"
+        "from lpifc.fcrep import UnitPair, unit_pair\n"
+        "assert sys.flags.optimize, 'not running under -O'\n"
+        "up = unit_pair('primary', Field(0))\n"
+        "try:\n"
+        "    UnitPair('broken', up.u, up.v, up.u, up.v_inv)\n"
+        "except InvalidParameter as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    sys.exit(1)\n"
+    )
+    src = str(Path(lpifc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: u_inv is not the inverse of u\n"
 
 
 def test_eval_laurent_commutator():
