@@ -2,7 +2,7 @@
 unit groups, built around the 2x2 polynomial-matrix representation of the
 relative free algebra on two square-zero generators."""
 
-from .exactalg import Field, FieldElem, Mat2Poly, UniPoly, leading_coeff_at, mat_inv
+from .exactalg import Field, FieldElem, Mat2Poly, UniPoly
 from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, parse_laurent, reduce_to_two_vars, transform
 from .words import (
     CUMULUS_ONE,
@@ -19,8 +19,6 @@ __all__ = [
     "FieldElem",
     "UniPoly",
     "Mat2Poly",
-    "mat_inv",
-    "leading_coeff_at",
     "Letter",
     "Word",
     "CUMULUS_ONE",

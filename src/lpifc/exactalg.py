@@ -648,13 +648,3 @@ def _raw_from_mat(m: Mat2Poly) -> RawMat:
 def _raw_to_mat(field: Field, m: RawMat) -> Mat2Poly:
     a, b, c, d = (UniPoly(field, cs) for cs in m)
     return Mat2Poly(field, ((a, b), (c, d)))
-
-
-def mat_inv(m: Mat2Poly) -> Mat2Poly:
-    """Exact inverse of a 2x2 polynomial matrix with constant nonzero det."""
-    return m.inv()
-
-
-def leading_coeff_at(m: Mat2Poly, d: int) -> ScalarMat:
-    """The 2x2 scalar coefficient of T^d of a polynomial matrix."""
-    return m.coeff_at(d)

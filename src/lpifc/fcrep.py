@@ -191,10 +191,6 @@ class FCMat:
         return f"(x={self.x}, A={self.A}, B={self.B}, C={self.C}, D={self.D})"
 
 
-def in_L(m: FCMat) -> bool:
-    return m.in_l()
-
-
 # -- unit pairs and evaluation ----------------------------------------------
 
 
@@ -376,81 +372,12 @@ def phi_images_independent(field: Field, max_len: int) -> bool:
 # -- the conjugation linear system ------------------------------------------
 #
 # The generic element s = [[x+T*A, B], [T*C, x+T*D]] is linear in the unknown
-# coefficients of x, A, B, C, D, so requiring u s u^-1 to lie in L for each
-# conjugating unit u is a linear system over K.  Polynomials are capped at a
-# configurable degree; every T-coefficient of every membership condition
-# becomes one equation row.
-
-_LinForm = list  # dense row of FieldElem over the unknown vector
-_LinPoly = list  # list of _LinForm, index = T-degree
-
-
-def _lp_add(field: Field, p: _LinPoly, q: _LinPoly, n: int) -> _LinPoly:
-    out = []
-    for k in range(max(len(p), len(q))):
-        a = p[k] if k < len(p) else [field.zero] * n
-        b = q[k] if k < len(q) else [field.zero] * n
-        out.append([x + y for x, y in zip(a, b)])
-    return out
-
-
-def _lp_scale_poly(field: Field, p: _LinPoly, poly: UniPoly, n: int) -> _LinPoly:
-    if not p or poly.is_zero:
-        return []
-    out = [[field.zero] * n for _ in range(len(p) + len(poly.coeffs) - 1)]
-    for i, row in enumerate(p):
-        for j, c in enumerate(poly.coeffs):
-            if c.is_zero:
-                continue
-            target = out[i + j]
-            for k, val in enumerate(row):
-                if not val.is_zero:
-                    target[k] = target[k] + c * val
-    return out
-
-
-def _lp_shift(field: Field, p: _LinPoly, n: int) -> _LinPoly:
-    if not p:
-        return []
-    return [[field.zero] * n] + [list(r) for r in p]
-
-
-def _linmat_mul_const(field: Field, left: Mat2Poly | None, mat, right: Mat2Poly | None, n: int):
-    """(left) * mat * (right) where mat has linear-form-polynomial entries."""
-    m = mat
-    if left is not None:
-        le = left.e
-        m = [
-            [
-                _lp_add(
-                    field,
-                    _lp_scale_poly(field, mat[0][j], le[i][0], n),
-                    _lp_scale_poly(field, mat[1][j], le[i][1], n),
-                    n,
-                )
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-    if right is not None:
-        re = right.e
-        m = [
-            [
-                _lp_add(
-                    field,
-                    _lp_scale_poly(field, m[i][0], re[0][j], n),
-                    _lp_scale_poly(field, m[i][1], re[1][j], n),
-                    n,
-                )
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-    return m
-
-
-def _row_is_zero(row) -> bool:
-    return all(c.is_zero for c in row)
+# coefficients of x, A, B, C, D, and conjugation is K[T]-linear:
+#   u s u^-1 = x*1 + T*A*P11 + B*P12 + T*C*P21 + T*D*P22,  P_ij = u e_ij u^-1.
+# So the column of an unknown is a T-shift of one conjugated matrix unit, and
+# requiring u s u^-1 to lie in L for each conjugating unit u is a linear
+# system over K.  Polynomials are capped at a configurable degree; every
+# T-coefficient of every membership condition becomes one equation row.
 
 
 @dataclass
@@ -525,7 +452,6 @@ def thekey_solve(
     field: Field,
     degree_bound: int = 4,
     conjugators: list[tuple[str, Mat2Poly]] | None = None,
-    extended: bool = True,
 ) -> ThekeyReport:
     """Solve the membership system: which s lie in L together with all their
     conjugates under the given unit list?
@@ -533,66 +459,40 @@ def thekey_solve(
     Unknowns are x and the coefficients of A, B, C, D up to the degree bound.
     Over characteristic != 2 the four displayed memberships already force the
     zero space; over characteristic 2 the extended conjugator list is
-    consumed until the space collapses or the list is exhausted.
+    consumed until the space collapses or the list is exhausted.  An explicit
+    conjugator list is used as given, without extension.
     """
     d = degree_bound
     if d < 1:
         raise InvalidParameter("degree bound must be at least 1")
     n = 1 + 4 * (d + 1)  # x plus four polynomials
-
-    def unknown_row(index: int) -> list[FieldElem]:
-        row = [field.zero] * n
-        row[index] = field.one
-        return row
-
-    ix = 0
     iA, iB, iC, iD = 1, 1 + (d + 1), 1 + 2 * (d + 1), 1 + 3 * (d + 1)
 
-    # Generic s as a matrix of linear-form polynomials.
-    def poly_of(base: int) -> _LinPoly:
-        return [unknown_row(base + k) for k in range(d + 1)]
-
-    x_poly: _LinPoly = [unknown_row(ix)]
-    s_mat = [
-        [_lp_add(field, x_poly, _lp_shift(field, poly_of(iA), n), n), poly_of(iB)],
-        [_lp_shift(field, poly_of(iC), n), _lp_add(field, x_poly, _lp_shift(field, poly_of(iD), n), n)],
-    ]
-
     def membership_rows(u: Mat2Poly) -> list[list[FieldElem]]:
-        conj = _linmat_mul_const(field, u, s_mat, u.inv(), n)
-        rows = []
-        # Constant term of the lower-left entry must vanish identically.
-        if conj[1][0] and not _row_is_zero(conj[1][0][0]):
-            raise DecompositionFailure("conjugate left the represented subalgebra")
-        x_row = conj[0][0][0] if conj[0][0] else [field.zero] * n
-        x_row2 = conj[1][1][0] if conj[1][1] else [field.zero] * n
-        if any(not (a - b).is_zero for a, b in zip(x_row, x_row2)):
-            raise DecompositionFailure("diagonal constant terms differ identically")
-        rows.append(list(x_row))
-        a_part = conj[0][0][1:]
-        b_part = conj[0][1]
-        c_part = conj[1][0][1:]
-        d_part = conj[1][1][1:]
-        # T*A' + B' + C' + D' = 0, coefficient by coefficient.
-        shifted_a = _lp_shift(field, a_part, n)
-        total = _lp_add(field, _lp_add(field, shifted_a, b_part, n), _lp_add(field, c_part, d_part, n), n)
-        rows.extend(list(r) for r in total)
-        return [r for r in rows if not _row_is_zero(r)]
-
-    conj_list = list(default_conjugators(field)) if conjugators is None else list(conjugators)
-    equations: list[list[FieldElem]] = []
-    stages: list[ThekeyStage] = []
-    relations: list[tuple[str, bool]] = []
-
-    def current_dim() -> int:
-        if not equations:
-            return n
-        return len(nullspace(field, equations, n))
+        ue, ve = u.e, u.inv().e
+        columns = [Mat2Poly.identity(field)]  # x*1 is fixed by conjugation
+        # Unknown A_k multiplies T^(k+1)*P11, B_k T^k*P12, C_k T^(k+1)*P21,
+        # D_k T^(k+1)*P22.
+        for (i, j), offset in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (1, 0, 1, 1)):
+            # u e_ij u^-1 is column i of u times row j of u^-1.
+            conj = [[ue[r][i] * ve[j][c] for c in (0, 1)] for r in (0, 1)]
+            for k in range(offset, d + 1 + offset):
+                columns.append(Mat2Poly(field, [[p.shift(k) for p in row] for row in conj]))
+        # Membership in L: x = 0 and T*A' + B' + C' + D' = 0, coefficient by
+        # coefficient; decompose rejects a conjugate outside the image.
+        conds = []
+        for col in columns:
+            m = FCMat.decompose(col)
+            conds.append((m.x, m.A.shift(1) + m.B + m.C + m.D))
+        top = max(len(poly.coeffs) for _, poly in conds)
+        rows = [[x for x, _ in conds]]
+        rows.extend([poly.coeff(k) for _, poly in conds] for k in range(top))
+        return [r for r in rows if any(not c.is_zero for c in r)]
 
     def basis_to_fcmat(vec: list[FieldElem]) -> FCMat:
         return FCMat(
             field,
-            x=vec[ix],
+            x=vec[0],
             A=UniPoly(field, vec[iA : iA + d + 1]),
             B=UniPoly(field, vec[iB : iB + d + 1]),
             C=UniPoly(field, vec[iC : iC + d + 1]),
@@ -600,45 +500,48 @@ def thekey_solve(
         )
 
     def check_relations() -> list[tuple[str, bool]]:
-        basis = nullspace(field, equations, n) if equations else []
+        mats = [basis_to_fcmat(v) for v in basis]
         one_plus_t = UniPoly(field, (1, 1))
-        c_zero = all(basis_to_fcmat(v).C.is_zero for v in basis)
-        a_eq_d = all(basis_to_fcmat(v).A == basis_to_fcmat(v).D for v in basis)
-        b_rel = all(
-            basis_to_fcmat(v).B == -(one_plus_t * basis_to_fcmat(v).A) for v in basis
-        )
-        return [("C = 0", c_zero), ("A = D", a_eq_d), ("B = -(1+T)*A", b_rel)]
+        return [
+            ("C = 0", all(m.C.is_zero for m in mats)),
+            ("A = D", all(m.A == m.D for m in mats)),
+            ("B = -(1+T)*A", all(m.B == -(one_plus_t * m.A) for m in mats)),
+        ]
 
-    processed = 0
-    for label, u in conj_list:
+    equations: list[list[FieldElem]] = []
+    stages: list[ThekeyStage] = []
+    # One nullspace per stage; with no equations yet it is all of K^n.
+    basis = nullspace(field, equations, n)
+
+    def add_stage(label: str, u: Mat2Poly) -> None:
+        nonlocal basis
         new = membership_rows(u)
         equations.extend(new)
-        stages.append(ThekeyStage(label, len(new), current_dim()))
-        processed += 1
-        if processed == 3:
-            # After s itself and the two elementary a-conjugations: the
-            # displayed elimination relations.
-            relations = check_relations()
-    if processed < 3:
-        relations = check_relations()
+        basis = nullspace(field, equations, n)
+        stages.append(ThekeyStage(label, len(new), len(basis)))
 
-    if extended and current_dim() > 0 and conjugators is None:
+    conj_list = default_conjugators(field) if conjugators is None else list(conjugators)
+    for label, u in conj_list[:3]:
+        add_stage(label, u)
+    # After s itself and the two elementary a-conjugations: the displayed
+    # elimination relations.
+    relations = check_relations()
+    for label, u in conj_list[3:]:
+        add_stage(label, u)
+
+    if conjugators is None and basis:
         for label, u in extended_conjugators(field):
-            new = membership_rows(u)
-            equations.extend(new)
-            stages.append(ThekeyStage(label, len(new), current_dim()))
-            if current_dim() == 0:
+            add_stage(label, u)
+            if not basis:
                 break
 
-    final_basis = nullspace(field, equations, n) if equations else []
-    residual = [basis_to_fcmat(v).to_dict() for v in final_basis]
     return ThekeyReport(
         field=field,
         degree_bound=d,
         stages=stages,
         relations=relations,
-        final_dim=len(final_basis),
-        residual_basis=residual,
+        final_dim=len(basis),
+        residual_basis=[basis_to_fcmat(v).to_dict() for v in basis],
     )
 
 

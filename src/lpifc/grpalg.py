@@ -426,9 +426,6 @@ class FinAlgebra:
     def basis(self, i: int) -> AlgebraElem:
         return AlgebraElem(self, tuple(1 if k == i else 0 for k in range(self.dim)))
 
-    def basis_elem_of_group(self, g: int) -> AlgebraElem:
-        return self.basis(g)
-
     def random_element(self, rng) -> AlgebraElem:
         return AlgebraElem(self, tuple(self.field.random(rng) for _ in range(self.dim)))
 
@@ -619,14 +616,6 @@ def hat(algebra: FinAlgebra, g: int, normalized: bool = False) -> AlgebraElem:
     if p and m % p == 0:
         raise NonInvertibleOrder(f"order {m} is not invertible in characteristic {p}")
     return elem.scale(algebra.field.from_fraction(1, m))
-
-
-def is_unit(a: AlgebraElem) -> bool:
-    return a.is_unit()
-
-
-def inverse(a: AlgebraElem) -> AlgebraElem:
-    return a.inverse()
 
 
 def poly_at(g: UniPoly, a: AlgebraElem) -> AlgebraElem:

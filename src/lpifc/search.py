@@ -19,7 +19,7 @@ from random import Random
 from typing import Iterator, Sequence
 
 from .errors import InvalidParameter
-from .exactalg import Field, leading_coeff_at, scalar_mat_is_zero
+from .exactalg import Field, scalar_mat_is_zero
 from .fcrep import UnitPair, eval_laurent, eval_word, table_leading_term, unit_pair
 from .laurent import LaurentPoly, max_cumulus, obstruction_matrix
 from .words import (
@@ -171,7 +171,7 @@ def verify_obstruction_consistency(
     for _ in range(sample_count):
         f = random_laurent(rng, field, pool)
         c = max_cumulus(f)
-        lhs = leading_coeff_at(eval_laurent(f, up), 2 * c)
+        lhs = eval_laurent(f, up).coeff_at(2 * c)
         rhs = obstruction_matrix(f)
         checked += 1
         if lhs == rhs:

@@ -270,14 +270,6 @@ def sgn(w: Word) -> int:
     return word_invariants(w).sgn
 
 
-def mul(w1: Word, w2: Word) -> Word:
-    return w1 * w2
-
-
-def inv(w: Word) -> Word:
-    return w.inv()
-
-
 W_X = Word.generator(X_GEN)
 W_XINV = Word.generator(X_GEN, -1)
 W_Y = Word.generator(Y_GEN)

@@ -7,10 +7,14 @@ import pytest
 
 from lpifc.cli import main
 
-# Exact --json stdout and exit codes of `eval` and `verify-tables`, recorded
-# with the Mat2Poly evaluation route (commit 0676dcd) before word images
-# moved to the raw-coefficient kernel.
+# Exact stdout and exit codes. The `eval` and `verify-tables` --json entries
+# were recorded with the Mat2Poly evaluation route (commit 0676dcd) before
+# word images moved to the raw-coefficient kernel; the `thekey` entries, in
+# text and --json, with the linear-form conjugation system (commit 02e2f67)
+# before it was rebuilt from conjugated matrix units.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+GOLDEN_THEKEY = [c for c in GOLDEN if c["argv"][0] == "thekey"]
+GOLDEN = [c for c in GOLDEN if c["argv"][0] != "thekey"]
 
 
 def run(capsys, *argv):
@@ -225,6 +229,13 @@ def test_invalid_field_rejected(capsys):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:-1]))
 def test_golden_eval_and_verify_tables(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_THEKEY, ids=lambda c: " ".join(c["argv"][1:]))
+def test_golden_thekey(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]

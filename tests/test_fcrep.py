@@ -13,7 +13,7 @@ import pytest
 
 import lpifc
 from lpifc.errors import InvalidLetter, StillInL, ZeroPolynomial
-from lpifc.exactalg import Field, Mat2Poly, UniPoly, mat_inv, scalar_mat
+from lpifc.exactalg import Field, Mat2Poly, UniPoly, scalar_mat
 from lpifc.fcrep import (
     FCMat,
     alternating_monomials,
@@ -21,7 +21,6 @@ from lpifc.fcrep import (
     eval_word,
     extract_g,
     g_at_alphabeta,
-    in_L,
     p1_fails_on_fc,
     phi_beta,
     phi_eval,
@@ -150,7 +149,7 @@ def test_eval_word_inverse_is_matrix_inverse():
 
     up = unit_pair("primary", Q)
     for w in enum_words(3):
-        assert eval_word(w.inv(), up) == mat_inv(eval_word(w, up))
+        assert eval_word(w.inv(), up) == eval_word(w, up).inv()
 
 
 # -- the raw-coefficient kernel against the Mat2Poly route ------------------------
@@ -347,19 +346,19 @@ def test_table_rejects_identity_marker():
 
 
 def test_in_l_zero():
-    assert in_L(FCMat.decompose(Mat2Poly.zero(Q)))
+    assert FCMat.decompose(Mat2Poly.zero(Q)).in_l()
 
 
 def test_in_l_unit_minus_one():
     up = unit_pair("primary", Q)
     m = FCMat.decompose(up.u - Mat2Poly.identity(Q))
     assert (str(m.A), str(m.B), str(m.C), str(m.D)) == ("T", "T", "1", "0")
-    assert not in_L(m)  # T*T + T + 1 = T^2 + T + 1 != 0
+    assert not m.in_l()  # T*T + T + 1 = T^2 + T + 1 != 0
 
 
 def test_in_l_cancelling_sum():
     m = FCMat(Q, x=Q(0), A=UniPoly.zero(Q), B=UniPoly.one(Q), C=UniPoly(Q, (-1,)), D=UniPoly.zero(Q))
-    assert in_L(m)
+    assert m.in_l()
 
 
 # -- the conjugation system ---------------------------------------------------------------
@@ -385,7 +384,7 @@ def test_thekey_char2_needs_extended_conjugators():
 def test_thekey_char2_without_extension_reports_residual():
     from lpifc.fcrep import default_conjugators
 
-    report = thekey_solve(F2, degree_bound=4, conjugators=default_conjugators(F2), extended=False)
+    report = thekey_solve(F2, degree_bound=4, conjugators=default_conjugators(F2))
     assert not report.zero_space
     assert report.final_dim > 0
     assert report.residual_basis
@@ -394,6 +393,93 @@ def test_thekey_char2_without_extension_reports_residual():
 def test_thekey_degree_cap_independence():
     for d in (2, 3, 6):
         assert thekey_solve(Q, degree_bound=d).zero_space
+
+
+def test_thekey_empty_conjugator_list_is_the_whole_space():
+    # no membership conditions: every s = [[x+T*A, B], [T*C, x+T*D]] with
+    # deg A, B, C, D <= 2 is a solution, so C = 0 fails on the space
+    report = thekey_solve(F3, degree_bound=2, conjugators=[])
+    assert report.stages == []
+    assert report.final_dim == 1 + 4 * 3
+    assert not report.zero_space
+    assert len(report.residual_basis) == report.final_dim
+    assert [holds for _, holds in report.relations] == [False, False, False]
+
+
+def test_thekey_one_rref_per_stage(monkeypatch):
+    from lpifc import linalg
+
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+    report = thekey_solve(F2, degree_bound=4)
+    assert len(report.stages) == 6
+    assert len(calls) == 6
+
+
+def test_thekey_rejects_a_conjugator_outside_the_image():
+    from lpifc.errors import DecompositionFailure
+
+    shear = Mat2Poly.from_scalars(Q, ((1, 0), (1, 1)))  # lower-left constant 1
+    with pytest.raises(DecompositionFailure):
+        thekey_solve(Q, degree_bound=1, conjugators=[("shear", shear)])
+
+
+def _all_conjugators(field):
+    from lpifc.fcrep import default_conjugators, extended_conjugators
+
+    return default_conjugators(field) + extended_conjugators(field)
+
+
+def test_thekey_single_conjugator_dims_match_enumeration_f2():
+    # independent route: over F2 at degree bound 1 there are 2^9 elements
+    # s; count those whose conjugate lies in L, one conjugator at a time
+    import itertools
+
+    d, n = 1, 9
+    elems = []
+    for vec in itertools.product((0, 1), repeat=n):
+        polys = [UniPoly(F2, vec[1 + k * (d + 1) : 1 + (k + 1) * (d + 1)]) for k in range(4)]
+        elems.append(FCMat(F2, F2(vec[0]), *polys).to_mat2())
+    conjugators = _all_conjugators(F2)
+    assert len(conjugators) == 11
+    for label, u in conjugators:
+        u_inv = u.inv()
+        count = sum(FCMat.decompose(u * s * u_inv).in_l() for s in elems)
+        report = thekey_solve(F2, degree_bound=d, conjugators=[(label, u)])
+        assert count == 2**report.final_dim, label
+
+
+@pytest.mark.parametrize("field", [Q, F3, Field(5)], ids=repr)
+def test_thekey_dims_match_rank_of_conjugated_basis(field):
+    # independent route: conjugate each basis element of the generic s as a
+    # whole matrix and take the rank of its membership conditions
+    from lpifc.linalg import rank
+
+    d = 2
+    n = 1 + 4 * (d + 1)
+    basis = []
+    for k in range(n):
+        vec = [field.zero] * n
+        vec[k] = field.one
+        polys = [UniPoly(field, vec[1 + j * (d + 1) : 1 + (j + 1) * (d + 1)]) for j in range(4)]
+        basis.append(FCMat(field, vec[0], *polys).to_mat2())
+
+    def rows_for(u):
+        conds = [FCMat.decompose(u * s * u.inv()) for s in basis]
+        polys = [c.A.shift(1) + c.B + c.C + c.D for c in conds]
+        top = max(len(p.coeffs) for p in polys)
+        return [[c.x for c in conds]] + [[p.coeff(j) for p in polys] for j in range(top)]
+
+    conjugators = _all_conjugators(field)
+    for label, u in conjugators:
+        report = thekey_solve(field, degree_bound=d, conjugators=[(label, u)])
+        assert report.final_dim == n - rank(field, rows_for(u)), label
+    cumulative = []
+    for k, (label, u) in enumerate(conjugators[:4]):
+        cumulative += rows_for(u)
+        report = thekey_solve(field, degree_bound=d, conjugators=conjugators[: k + 1])
+        assert report.stages[-1].nullspace_dim == n - rank(field, cumulative), label
 
 
 # -- witness extraction ---------------------------------------------------------------------
@@ -492,7 +578,7 @@ def test_thekey_char2_residual_structure():
     # equations); every reported basis vector satisfies these relations
     from lpifc.fcrep import default_conjugators
 
-    report = thekey_solve(F2, degree_bound=5, conjugators=default_conjugators(F2), extended=False)
+    report = thekey_solve(F2, degree_bound=5, conjugators=default_conjugators(F2))
     assert report.final_dim > 0
     T = UniPoly.T(F2)
     t_one_plus_t = UniPoly(F2, (0, 1, 1))  # T + T^2
