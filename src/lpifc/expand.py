@@ -12,13 +12,20 @@ vanishing check.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .errors import AllZero, DimensionMismatch, InvalidParameter
 from .exactalg import Field, FieldElem
 from .laurent import LaurentPoly
+from .parsing import sparse_sum
 
 Monomial = tuple[int, ...]
+
+
+def _check_monomials(nvars: int, mons: Iterable[Monomial]) -> None:
+    if any(v < 0 or v >= nvars for mon in mons for v in mon):
+        raise InvalidParameter("monomial variable index out of range")
 
 
 def _var_names(nvars: int) -> tuple[str, ...]:
@@ -34,21 +41,21 @@ class NCPoly:
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms: Mapping[Monomial, object] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, FieldElem] = {}
-        for mon, coeff in items:
-            if any(v < 0 or v >= nvars for v in mon):
-                raise InvalidParameter("monomial variable index out of range")
-            c = field(coeff)
-            if mon in acc:
-                c = acc[mon] + c
-            if c.is_zero:
-                acc.pop(mon, None)
-            else:
-                acc[mon] = c
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        _check_monomials(nvars, (mon for mon, _ in items))
         self.field = field
         self.nvars = nvars
-        self.terms = acc
+        self.terms = sparse_sum((mon, field(coeff)) for mon, coeff in items)
+
+    def _sum(self, other: "NCPoly", pairs: Iterable[tuple[Monomial, FieldElem]]) -> "NCPoly":
+        """The :func:`sparse_sum` of ``pairs``, built from this and ``other``'s
+        terms, with the constructor's index check if ``other`` has more
+        variables."""
+        out = NCPoly.__new__(NCPoly)
+        out.field, out.nvars, out.terms = self.field, self.nvars, sparse_sum(pairs)
+        if other.nvars > self.nvars:
+            _check_monomials(self.nvars, out.terms)
+        return out
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "NCPoly":
@@ -63,29 +70,16 @@ class NCPoly:
         return not self.terms
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = out.get(mon, self.field.zero) + c
-            if s.is_zero:
-                out.pop(mon, None)
-            else:
-                out[mon] = s
-        return NCPoly(self.field, self.nvars, out)
+        if other.terms and other.field != self.field:
+            raise InvalidParameter("cannot mix elements of different fields")
+        return self._sum(other, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + other.scale(self.field(-1))
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
-        out: dict[Monomial, FieldElem] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = m1 + m2
-                s = out.get(mon, self.field.zero) + c1 * c2
-                if s.is_zero:
-                    out.pop(mon, None)
-                else:
-                    out[mon] = s
-        return NCPoly(self.field, self.nvars, out)
+        pairs = ((m1 + m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
+        return self._sum(other, pairs)
 
     def scale(self, c) -> "NCPoly":
         c = self.field(c)
@@ -180,33 +174,18 @@ class TruncSeries:
         return not self.comps
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        out = dict(self.comps)
-        for md, poly in other.comps.items():
-            s = out.get(md)
-            s = poly if s is None else s + poly
-            if s.is_zero:
-                out.pop(md, None)
-            else:
-                out[md] = s
-        return TruncSeries(self.field, self.nvars, min(self.bound, other.bound), out)
+        comps = sparse_sum(chain(self.comps.items(), other.comps.items()))
+        return TruncSeries(self.field, self.nvars, min(self.bound, other.bound), comps)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         bound = min(self.bound, other.bound)
-        out: dict[tuple[int, ...], NCPoly] = {}
-        for md1, p1 in self.comps.items():
-            t1 = sum(md1)
-            for md2, p2 in other.comps.items():
-                if t1 + sum(md2) > bound:
-                    continue
-                md = tuple(a + b for a, b in zip(md1, md2))
-                prod = p1 * p2
-                s = out.get(md)
-                s = prod if s is None else s + prod
-                if s.is_zero:
-                    out.pop(md, None)
-                else:
-                    out[md] = s
-        return TruncSeries(self.field, self.nvars, bound, out)
+        comps = sparse_sum(
+            (tuple(a + b for a, b in zip(md1, md2)), p1 * p2)
+            for md1, p1 in self.comps.items()
+            for md2, p2 in other.comps.items()
+            if sum(md1) + sum(md2) <= bound
+        )
+        return TruncSeries(self.field, self.nvars, bound, comps)
 
     def scale(self, c) -> "TruncSeries":
         return TruncSeries(

@@ -43,7 +43,7 @@ from .exactalg import (
 )
 from .laurent import LaurentPoly
 from .linalg import nullspace, rank
-from .parsing import TokenStream, read_coefficient
+from .parsing import TokenStream, parse_terms, sparse_sum
 from .words import Letter, Word
 
 # -- the representation ----------------------------------------------------
@@ -71,62 +71,19 @@ def phi_monomial(mon: Sequence[int], field: Field) -> Mat2Poly:
     return out
 
 
+def _read_ab(ts: TokenStream) -> tuple[int]:
+    tok = ts.next()
+    if tok.text not in ("a", "b"):
+        raise ParseError(f"unknown generator {tok.text!r}; expected a or b", tok.offset)
+    return (0 if tok.text == "a" else 1,)
+
+
 def parse_fc_expr(text: str, field: Field) -> dict[tuple[int, ...], FieldElem]:
     """Parse expressions in the square-zero generators, e.g. ``1 + a*b - b*a*b``.
 
     Letters are ``a`` and ``b``; coefficients are integer or ``a/b`` literals.
     """
-    ts = TokenStream(text)
-    terms: dict[tuple[int, ...], FieldElem] = {}
-    first = True
-    while True:
-        tok = ts.peek()
-        if tok.kind == "end":
-            if first:
-                raise ts.error("empty expression")
-            break
-        sign = 1
-        if tok.kind in "+-":
-            if first and tok.kind == "+":
-                raise ts.error("expression cannot start with '+'")
-            ts.next()
-            sign = -1 if tok.kind == "-" else 1
-        elif not first:
-            raise ts.error("expected '+' or '-' between terms")
-        first = False
-
-        coeff = field(sign)
-        letters: list[int] = []
-        saw_factor = False
-        while True:
-            tok = ts.peek()
-            if tok.kind == "int":
-                coeff = coeff * read_coefficient(ts, field)
-                saw_factor = True
-            elif tok.kind == "name":
-                if tok.text not in ("a", "b"):
-                    raise ParseError(f"unknown generator {tok.text!r}; expected a or b", tok.offset)
-                ts.next()
-                letters.append(0 if tok.text == "a" else 1)
-                saw_factor = True
-            elif tok.kind == "*":
-                if not saw_factor:
-                    raise ts.error("term cannot start with '*'")
-                ts.next()
-                if ts.peek().kind not in ("int", "name"):
-                    raise ts.error("expected a factor after '*'")
-                continue
-            else:
-                break
-        if not saw_factor:
-            raise ts.error("expected a term")
-        mon = tuple(letters)
-        acc = terms.get(mon, field.zero) + coeff
-        if acc.is_zero:
-            terms.pop(mon, None)
-        else:
-            terms[mon] = acc
-    return terms
+    return sparse_sum((tuple(atoms), c) for atoms, c in parse_terms(text, field, _read_ab))
 
 
 def phi_eval(expr: str | Mapping[tuple[int, ...], object], field: Field) -> "FCMat":

@@ -10,11 +10,12 @@ not an identity for the units of the square-zero relative free algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import InvalidParameter, ParseError, ZeroPolynomial
 from .exactalg import Field, FieldElem, ScalarMat
-from .parsing import TokenStream, read_coefficient, read_signed_int
+from .parsing import TokenStream, parse_terms, read_exponent, sparse_sum
 from .words import (
     Letter,
     Word,
@@ -33,33 +34,21 @@ class LaurentPoly:
 
     def __init__(self, field: Field, terms: Mapping[Word, Coeff] | Iterable[tuple[Word, Coeff]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, FieldElem] = {}
-        for word, coeff in items:
-            c = field(coeff)
-            if word in acc:
-                c = acc[word] + c
-            if c.is_zero:
-                acc.pop(word, None)
-            else:
-                acc[word] = c
         self.field = field
-        self.terms = acc
+        self.terms = sparse_sum((word, field(coeff)) for word, coeff in items)
 
     @classmethod
     def zero(cls, field: Field) -> "LaurentPoly":
         return cls(field)
 
     @classmethod
-    def one(cls, field: Field) -> "LaurentPoly":
-        return cls(field, {Word.identity(): 1})
-
-    @classmethod
-    def from_word(cls, field: Field, word: Word, coeff: Coeff = 1) -> "LaurentPoly":
-        return cls(field, {word: coeff})
-
-    @classmethod
-    def parse(cls, text: str, field: Field) -> "LaurentPoly":
-        return parse_laurent(text, field)
+    def _from_sum(cls, field: Field, terms: dict[Word, FieldElem]) -> "LaurentPoly":
+        """Wrap a :func:`sparse_sum` of this field's elements without
+        coercing and summing them again."""
+        f = cls.__new__(cls)
+        f.field = field
+        f.terms = terms
+        return f
 
     @property
     def is_zero(self) -> bool:
@@ -76,14 +65,10 @@ class LaurentPoly:
         return self.terms.get(w, self.field.zero)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, self.field.zero) + c
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return LaurentPoly(self.field, out)
+        if other.terms and other.field != self.field:
+            raise InvalidParameter("cannot mix elements of different fields")
+        terms = sparse_sum(chain(self.terms.items(), other.terms.items()))
+        return LaurentPoly._from_sum(self.field, terms)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -96,16 +81,9 @@ class LaurentPoly:
             return self.scale(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[Word, FieldElem] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                s = out.get(w, self.field.zero) + c1 * c2
-                if s.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return LaurentPoly(self.field, out)
+        return LaurentPoly._from_sum(self.field, sparse_sum(
+            (w1 * w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElem, int, Fraction)):
@@ -181,63 +159,21 @@ class LaurentPoly:
         return LaurentPoly(self.field, {v * w: c for v, c in self.terms.items()})
 
 
+def _read_xy(ts: TokenStream) -> tuple[tuple[int, int]]:
+    tok = ts.next()
+    if tok.text not in ("X", "Y"):
+        raise ParseError(f"unknown variable {tok.text!r}", tok.offset)
+    return ((X_GEN if tok.text == "X" else Y_GEN, read_exponent(ts)),)
+
+
 def parse_laurent(text: str, field: Field) -> LaurentPoly:
     """Parse signed ``coeff*word`` terms, e.g. ``X*Y - Y*X`` or ``1 + 2*X^-1*Y``.
 
     Coefficients are integer or ``a/b`` literals (reduced modulo p over a
     finite field); ``1`` inside a term is the scalar one / identity word.
     """
-    ts = TokenStream(text)
-    terms: list[tuple[Word, FieldElem]] = []
-    first = True
-    while True:
-        tok = ts.peek()
-        if tok.kind == "end":
-            if first:
-                raise ts.error("empty expression")
-            break
-        sign = 1
-        if tok.kind in "+-":
-            if first and tok.kind == "+":
-                raise ts.error("expression cannot start with '+'")
-            ts.next()
-            sign = -1 if tok.kind == "-" else 1
-        elif not first:
-            raise ts.error("expected '+' or '-' between terms")
-        first = False
-
-        coeff = field(sign)
-        blocks: list[tuple[int, int]] = []
-        saw_factor = False
-        while True:
-            tok = ts.peek()
-            if tok.kind == "int":
-                coeff = coeff * read_coefficient(ts, field)
-                saw_factor = True
-            elif tok.kind == "name":
-                if tok.text not in ("X", "Y"):
-                    raise ParseError(f"unknown variable {tok.text!r}", tok.offset)
-                ts.next()
-                gen = X_GEN if tok.text == "X" else Y_GEN
-                exp = 1
-                if ts.peek().kind == "^":
-                    ts.next()
-                    exp = read_signed_int(ts)
-                blocks.append((gen, exp))
-                saw_factor = True
-            elif tok.kind == "*":
-                if not saw_factor:
-                    raise ts.error("term cannot start with '*'")
-                ts.next()
-                if ts.peek().kind not in ("int", "name"):
-                    raise ts.error("expected a factor after '*'")
-                continue
-            else:
-                break
-        if not saw_factor:
-            raise ts.error("expected a term")
-        terms.append((Word.from_blocks(blocks), coeff))
-    return LaurentPoly(field, terms)
+    terms = parse_terms(text, field, _read_xy)
+    return LaurentPoly(field, ((Word.from_blocks(atoms), c) for atoms, c in terms))
 
 
 def max_cumulus(f: LaurentPoly) -> int:
@@ -336,14 +272,10 @@ def reduce_to_two_vars(f: LaurentPoly, nvars: int | None = None) -> LaurentPoly:
         g: Word.generator(X_GEN, g + 1) * Word.generator(Y_GEN) * Word.generator(X_GEN, -(g + 1))
         for g in range(n)
     }
-    out: dict[Word, FieldElem] = {}
-    for w, c in f.terms.items():
+    def image(w: Word) -> Word:
         img = Word.identity()
         for g, e in w.blocks:
             img = img * images[g] ** e
-        s = out.get(img, f.field.zero) + c
-        if s.is_zero:
-            out.pop(img, None)
-        else:
-            out[img] = s
-    return LaurentPoly(f.field, out)
+        return img
+
+    return LaurentPoly._from_sum(f.field, sparse_sum((image(w), c) for w, c in f.terms.items()))

@@ -1,5 +1,14 @@
-"""Shared tokenizer for the expression grammars (words, Laurent polynomials,
-one-variable polynomials, and square-zero-generator expressions).
+"""The expression grammars: a shared tokenizer, the signed-term grammar, and
+the sparse sum that every parsed or computed polynomial is built through.
+
+Laurent polynomials, expressions in the square-zero generators and
+one-variable polynomials are all sums of signed terms; a term is a product of
+coefficient literals (``3`` or ``3/4``) and named factors, joined by ``*`` or
+by juxtaposition.  :func:`parse_terms` owns that grammar once.  The three
+inputs differ only in the factor alphabet, which the caller passes as a
+reader: ``X``/``Y`` with integer exponents, the letters ``a``/``b``, or ``T``
+with non-negative exponents.  Words (:func:`lpifc.words.parse_word`) have a
+grammar of their own, with no coefficients and no signs.
 
 Tokens: integers, single-letter names, and the punctuation ``* ^ + - /``.
 Whitespace separates tokens and is otherwise ignored.  Every token carries the
@@ -9,6 +18,7 @@ byte offset of its first character so parse errors can point at the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ParseError
 
@@ -77,16 +87,18 @@ class TokenStream:
         return ParseError(message, self.peek().offset)
 
 
-def read_signed_int(ts: TokenStream) -> int:
-    """An integer with an optional leading minus (used after ``^``)."""
-    sign = 1
+def read_exponent(ts: TokenStream) -> int:
+    """The optional ``^k`` after a name, with k a signed integer; 1 when absent."""
+    if ts.peek().kind != "^":
+        return 1
+    ts.next()
     if ts.peek().kind == "-":
         ts.next()
-        sign = -1
-    return sign * ts.expect("int").value
+        return -ts.expect("int").value
+    return ts.expect("int").value
 
 
-def read_coefficient(ts: TokenStream, field):
+def _read_coefficient(ts: TokenStream, field):
     """An ``a`` or ``a/b`` literal coerced into the field."""
     num = ts.expect("int").value
     if ts.peek().kind == "/":
@@ -98,56 +110,79 @@ def read_coefficient(ts: TokenStream, field):
     return field(num)
 
 
+def parse_terms(
+    text: str, field, read_name: Callable[[TokenStream], Sequence]
+) -> list[tuple[list, object]]:
+    """Split a sum of signed terms, e.g. ``2*X^-1*Y - 1/2 X + 3``, into
+    ``(atoms, coefficient)`` pairs in input order.
+
+    ``read_name`` consumes the name token at the head of the stream, with
+    whatever follows it that it owns (such as ``^k``), and returns that
+    factor's atoms; a term's atoms are those of its named factors in order.
+    Its coefficient is the product of its sign and its literals in the field.
+    """
+    ts = TokenStream(text)
+    if ts.peek().kind == "end":
+        raise ts.error("empty expression")
+    if ts.peek().kind == "+":
+        raise ts.error("expression cannot start with '+'")
+    terms: list[tuple[list, object]] = []
+    while ts.peek().kind != "end":
+        sign = ts.peek()
+        if sign.kind in ("+", "-"):
+            ts.next()
+        elif terms:
+            raise ts.error("expected '+' or '-' between terms")
+        coeff = field(-1 if sign.kind == "-" else 1)
+        atoms: list = []
+        start = ts.pos
+        while ts.peek().kind in ("int", "name"):
+            if ts.peek().kind == "int":
+                coeff = coeff * _read_coefficient(ts, field)
+            else:
+                atoms.extend(read_name(ts))
+            if ts.peek().kind == "*":
+                ts.next()
+                if ts.peek().kind not in ("int", "name"):
+                    raise ts.error("expected a factor after '*'")
+        if ts.pos == start:
+            at_star = ts.peek().kind == "*"
+            raise ts.error("term cannot start with '*'" if at_star else "expected a term")
+        terms.append((atoms, coeff))
+    return terms
+
+
+def sparse_sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:
+    """Sum the values of repeated keys and drop every key whose sum is zero.
+
+    Values need ``+`` and ``.is_zero``: field elements, or the polynomial
+    components of a series.
+    """
+    out: dict = {}
+    for key, value in pairs:
+        prev = out.get(key)
+        if prev is not None:
+            value = prev + value
+        if value.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = value
+    return out
+
+
+def _read_t(ts: TokenStream) -> tuple[int]:
+    tok = ts.next()
+    if tok.text != "T":
+        raise ParseError(f"unknown indeterminate {tok.text!r}; expected T", tok.offset)
+    deg = read_exponent(ts)
+    if deg < 0:
+        raise ParseError("negative exponent in a polynomial", tok.offset)
+    return (deg,)
+
+
 def parse_unipoly(text: str, field):
     """Parse ``c*T^k`` sums such as ``T^2 - 3*T + 1/2`` into a UniPoly."""
     from .exactalg import UniPoly
 
-    ts = TokenStream(text)
-    coeffs: dict[int, object] = {}
-    first = True
-    while True:
-        tok = ts.peek()
-        if tok.kind == "end":
-            if first:
-                raise ts.error("empty polynomial expression")
-            break
-        sign = 1
-        if tok.kind in "+-":
-            if first and tok.kind == "+":
-                raise ts.error("polynomial cannot start with '+'")
-            ts.next()
-            sign = -1 if tok.kind == "-" else 1
-        elif not first:
-            raise ts.error("expected '+' or '-' between terms")
-        first = False
-
-        coeff = field(sign)
-        saw_term = False
-        tok = ts.peek()
-        if tok.kind == "int":
-            coeff = coeff * read_coefficient(ts, field)
-            saw_term = True
-            if ts.peek().kind == "*":
-                ts.next()
-                tok = ts.peek()
-                if tok.kind != "name":
-                    raise ts.error("expected T after '*'")
-        tok = ts.peek()
-        deg = 0
-        if tok.kind == "name":
-            if tok.text != "T":
-                raise ts.error(f"unknown indeterminate {tok.text!r}; expected T")
-            ts.next()
-            saw_term = True
-            deg = 1
-            if ts.peek().kind == "^":
-                ts.next()
-                deg = read_signed_int(ts)
-                if deg < 0:
-                    raise ParseError("negative exponent in a polynomial", tok.offset)
-        if not saw_term:
-            raise ts.error("expected a term")
-        coeffs[deg] = coeffs.get(deg, field.zero) + coeff
-
-    size = max(coeffs) + 1 if coeffs else 0
-    return UniPoly(field, tuple(coeffs.get(k, field.zero) for k in range(size)))
+    coeffs = sparse_sum((sum(atoms), c) for atoms, c in parse_terms(text, field, _read_t))
+    return UniPoly(field, [coeffs.get(k, field.zero) for k in range(max(coeffs, default=-1) + 1)])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import IdentityWord, InvalidParameter, ParseError
-from .parsing import TokenStream, read_signed_int
+from .parsing import TokenStream, read_exponent
 
 X_GEN = 0
 Y_GEN = 1
@@ -147,10 +147,6 @@ class Word:
     def __str__(self) -> str:
         return self.render()
 
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        return parse_word(text)
-
 
 @dataclass(frozen=True)
 class WordInvariants:
@@ -203,12 +199,7 @@ def parse_word(text: str) -> Word:
                 f"expected X, Y, or 1, found {tok.text or 'end of input'!r}", tok.offset
             )
         ts.next()
-        gen = X_GEN if tok.text == "X" else Y_GEN
-        exp = 1
-        if ts.peek().kind == "^":
-            ts.next()
-            exp = read_signed_int(ts)
-        blocks.append((gen, exp))
+        blocks.append((X_GEN if tok.text == "X" else Y_GEN, read_exponent(ts)))
         saw_anything = True
     if not saw_anything:
         raise ParseError("empty word expression", 0)

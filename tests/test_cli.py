@@ -11,10 +11,14 @@ from lpifc.cli import main
 # were recorded with the Mat2Poly evaluation route (commit 0676dcd) before
 # word images moved to the raw-coefficient kernel; the `thekey` entries, in
 # text and --json, with the linear-form conjugation system (commit 02e2f67)
-# before it was rebuilt from conjugated matrix units.
-GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
-GOLDEN_THEKEY = [c for c in GOLDEN if c["argv"][0] == "thekey"]
-GOLDEN = [c for c in GOLDEN if c["argv"][0] != "thekey"]
+# before it was rebuilt from conjugated matrix units. The entries of every
+# subcommand that parses a word, Laurent, a/b or T input (with stderr too)
+# were recorded with one signed-term loop per grammar (commit 71d13b0)
+# before the grammars were folded into `parsing.parse_terms`.
+GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
+GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]
+GOLDEN_PARSED = [c for c in GOLDEN_ALL if "stderr" in c]
 
 
 def run(capsys, *argv):
@@ -239,3 +243,11 @@ def test_golden_thekey(capsys, case):
     code, out, _ = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_PARSED, ids=lambda c: " ".join(c["argv"]))
+def test_golden_parsed_inputs(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+    assert err == case["stderr"]
