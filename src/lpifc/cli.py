@@ -50,6 +50,10 @@ def _emit(args, record: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _check_verdict(result: grpalg.CheckResult) -> str:
+    return {True: "holds", False: "fails", None: "inconclusive"}[result.holds]
+
+
 def _report_record(args, report: search.CampaignReport) -> dict:
     return report.to_dict(include_timing=getattr(args, "timings", False))
 
@@ -334,11 +338,11 @@ def cmd_p1(args) -> int:
         "mode": args.mode,
         **result.to_dict(),
     }
-    lines = [f"square-zero vanishing of g = {g} on {algebra.name}: {'holds' if result.holds else 'fails'}"]
+    lines = [f"square-zero vanishing of g = {g} on {algebra.name}: {_check_verdict(result)}"]
     if result.witness:
         lines.append(f"  witness: {result.witness}")
     _emit(args, record, lines)
-    return 0 if result.holds else 1
+    return 1 if result.holds is False else 0
 
 
 def cmd_bac(args) -> int:
@@ -355,12 +359,12 @@ def cmd_bac(args) -> int:
     }
     lines = [
         f"zero-product chain h = T*g with g = {g} on {algebra.name}: "
-        f"{'holds' if result.holds else 'fails'}"
+        f"{_check_verdict(result)}"
     ]
     if result.witness:
         lines.append(f"  witness: {result.witness}")
     _emit(args, record, lines)
-    return 0 if result.holds else 1
+    return 1 if result.holds is False else 0
 
 
 def cmd_finitecondi(args) -> int:

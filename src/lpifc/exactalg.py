@@ -4,6 +4,12 @@ This is the arithmetic kernel: rationals are arbitrary-precision
 ``fractions.Fraction`` values kept reduced, prime fields store canonical
 residues in [0, p).  Elements of different fields never mix.  All operations
 are exact; nothing here ever rounds.
+
+There is one polynomial kernel.  :class:`UniPoly` keeps its coefficients as
+plain numbers (over F_p ints in [0, p), over Q ints while integral and
+Fractions otherwise) and computes on them; :class:`FieldElem`s appear only at
+its accessors.  :class:`Mat2Poly` forms each entry of a product as one sum of
+two polynomial products, reduced once, and powers by binary powering.
 """
 
 from __future__ import annotations
@@ -224,50 +230,88 @@ class FieldElem:
 Coeff = Union[FieldElem, int, Fraction]
 
 
+def _canonical(p: int, cs) -> tuple:
+    """Plain coefficients in canonical form: reduced mod p (over Q, integral
+    Fractions demoted to int), with no trailing zeros."""
+    if p:
+        cs = [c % p for c in cs]
+    else:
+        cs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 class UniPoly:
     """A univariate polynomial in T over a fixed field.
 
-    Coefficients are stored by ascending degree with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree ``NEG_INF``.
+    Coefficients are kept by ascending degree with no trailing zeros, as plain
+    numbers in the private slot ``_c``: over F_p ints in [0, p), over Q ints
+    while integral and ``Fraction``s otherwise, so integral polynomials never
+    pay for Fraction arithmetic.  The zero polynomial has no coefficients and
+    degree ``NEG_INF``.  The accessors hand out :class:`FieldElem`s.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_c")
 
     def __init__(self, field: Field, coeffs: Iterable[Coeff] = ()):
-        cs = [field(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self._c = _canonical(field.p, [field(c).v for c in coeffs])
+
+    @classmethod
+    def _new(cls, field: Field, cs) -> "UniPoly":
+        """Build from plain numbers, skipping the coercion of ``__init__``."""
+        f = object.__new__(cls)
+        f.field = field
+        f._c = _canonical(field.p, cs)
+        return f
+
+    @classmethod
+    def _sum_of_products(cls, field: Field, pairs) -> "UniPoly":
+        """The sum of f*g over the (f, g) pairs, reduced once: the one
+        polynomial product, shared by ``*`` and the 2x2 matrix product."""
+        out = [0] * max(len(f._c) + len(g._c) - 1 for f, g in pairs)
+        for f, g in pairs:
+            g = g._c
+            n = len(g)
+            for i, a in enumerate(f._c):
+                if a:
+                    out[i : i + n] = [o + a * b for o, b in zip(out[i : i + n], g)]
+        return cls._new(field, out)
+
+    def _elem(self, v) -> FieldElem:
+        return FieldElem(self.field, v if self.field.p or type(v) is Fraction else Fraction(v))
 
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
-        return cls(field)
+        return cls._new(field, ())
 
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
-        return cls(field, (1,))
+        return cls._new(field, (1,))
 
     @classmethod
     def T(cls, field: Field) -> "UniPoly":
-        return cls(field, (0, 1))
+        return cls._new(field, (0, 1))
 
     @classmethod
     def monomial(cls, field: Field, k: int, c: Coeff = 1) -> "UniPoly":
         return cls(field, (0,) * k + (c,))
 
     @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        return tuple(self._elem(c) for c in self._c)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._c) - 1 if self._c else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     def coeff(self, k: int) -> FieldElem:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
+        return self._elem(self._c[k] if 0 <= k < len(self._c) else 0)
 
     @property
     def constant_term(self) -> FieldElem:
@@ -277,7 +321,7 @@ class UniPoly:
     def leading(self) -> FieldElem:
         if self.is_zero:
             raise ZeroDivisionError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._elem(self._c[-1])
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -285,15 +329,18 @@ class UniPoly:
                 raise InvalidParameter("cannot mix polynomials over different fields")
             return other
         if isinstance(other, (FieldElem, int, Fraction)):
-            return UniPoly(self.field, (self.field(other),))
+            return UniPoly(self.field, (other,))
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(self.field, (self.coeff(k) + o.coeff(k) for k in range(n)))
+        f, g = (self._c, o._c) if len(self._c) >= len(o._c) else (o._c, self._c)
+        out = list(f)
+        for i, c in enumerate(g):
+            out[i] += c
+        return UniPoly._new(self.field, out)
 
     __radd__ = __add__
 
@@ -301,31 +348,22 @@ class UniPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(self.field, (self.coeff(k) - o.coeff(k) for k in range(n)))
+        return self + -o
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return UniPoly(self.field, (-c for c in self.coeffs))
+        return UniPoly._new(self.field, [-c for c in self._c])
 
     def __mul__(self, other):
         if isinstance(other, (FieldElem, int, Fraction)):
-            c = self.field(other)
-            return UniPoly(self.field, (a * c for a in self.coeffs))
+            c = self.field(other).v
+            return UniPoly._new(self.field, [a * c for a in self._c])
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return UniPoly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out)
+        return UniPoly._sum_of_products(self.field, ((self, o),))
 
     __rmul__ = __mul__
 
@@ -342,17 +380,18 @@ class UniPoly:
         return result
 
     def shift(self, k: int) -> "UniPoly":
-        """Multiply by T^k."""
+        """Multiply by T^k; a negative k drops the terms below T^-k first."""
         if self.is_zero:
             return self
-        return UniPoly(self.field, (0,) * k + tuple(self.coeffs))
+        return UniPoly._new(self.field, (0,) * k + self._c if k >= 0 else self._c[-k:])
 
     def __call__(self, x: Coeff) -> FieldElem:
-        x = self.field(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        x = self.field(x).v
+        p = self.field.p
+        acc = 0
+        for c in reversed(self._c):
+            acc = (acc * x + c) % p if p else acc * x + c
+        return self._elem(acc)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (FieldElem, int, Fraction)):
@@ -360,19 +399,19 @@ class UniPoly:
         return (
             isinstance(other, UniPoly)
             and other.field == self.field
-            and other.coeffs == self.coeffs
+            and other._c == self._c
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.coeffs))
+        return hash((self.field.p, self._c))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c.is_zero:
+        for k in range(len(self._c) - 1, -1, -1):
+            c = self._c[k]
+            if not c:
                 continue
             if k == 0:
                 body = str(c)
@@ -402,11 +441,6 @@ ScalarMat = tuple[tuple[FieldElem, FieldElem], tuple[FieldElem, FieldElem]]
 def scalar_mat(field: Field, rows) -> ScalarMat:
     (a, b), (c, d) = rows
     return ((field(a), field(b)), (field(c), field(d)))
-
-
-def scalar_mat_zero(field: Field) -> ScalarMat:
-    z = field.zero
-    return ((z, z), (z, z))
 
 
 def scalar_mat_is_zero(m: ScalarMat) -> bool:
@@ -443,14 +477,22 @@ class Mat2Poly:
         self.e = (rows[0], rows[1])
 
     @classmethod
+    def _new(cls, field: Field, a: UniPoly, b: UniPoly, c: UniPoly, d: UniPoly) -> "Mat2Poly":
+        """[[a, b], [c, d]] from entries over the field, unchecked."""
+        m = object.__new__(cls)
+        m.field = field
+        m.e = ((a, b), (c, d))
+        return m
+
+    @classmethod
     def zero(cls, field: Field) -> "Mat2Poly":
         z = UniPoly.zero(field)
-        return cls(field, ((z, z), (z, z)))
+        return cls._new(field, z, z, z, z)
 
     @classmethod
     def identity(cls, field: Field) -> "Mat2Poly":
         o, z = UniPoly.one(field), UniPoly.zero(field)
-        return cls(field, ((o, z), (z, o)))
+        return cls._new(field, o, z, z, o)
 
     @classmethod
     def from_scalars(cls, field: Field, rows) -> "Mat2Poly":
@@ -460,27 +502,31 @@ class Mat2Poly:
         return self.e[i][j]
 
     def __add__(self, other: "Mat2Poly") -> "Mat2Poly":
-        return Mat2Poly(
-            self.field,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.e, other.e)),
-        )
+        (a, b), (c, d) = self.e
+        (e, f), (g, h) = other.e
+        return Mat2Poly._new(self.field, a + e, b + f, c + g, d + h)
 
     def __sub__(self, other: "Mat2Poly") -> "Mat2Poly":
-        return Mat2Poly(
-            self.field,
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.e, other.e)),
-        )
+        return self + -other
 
     def __neg__(self) -> "Mat2Poly":
-        return Mat2Poly(self.field, tuple(tuple(-a for a in row) for row in self.e))
+        (a, b), (c, d) = self.e
+        return Mat2Poly._new(self.field, -a, -b, -c, -d)
 
     def __mul__(self, other):
         if isinstance(other, Mat2Poly):
+            if other.field != self.field:
+                raise InvalidParameter("cannot mix matrices over different fields")
+            # Each entry is a sum of two products, reduced once.
             (a, b), (c, d) = self.e
             (e, f), (g, h) = other.e
-            return Mat2Poly(
-                self.field,
-                ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)),
+            field, dot = self.field, UniPoly._sum_of_products
+            return Mat2Poly._new(
+                field,
+                dot(field, ((a, e), (b, g))),
+                dot(field, ((a, f), (b, h))),
+                dot(field, ((c, e), (d, g))),
+                dot(field, ((c, f), (d, h))),
             )
         if isinstance(other, (UniPoly, FieldElem, int, Fraction)):
             return self.scale(other)
@@ -492,21 +538,22 @@ class Mat2Poly:
         return NotImplemented
 
     def scale(self, s) -> "Mat2Poly":
-        if not isinstance(s, UniPoly):
-            s = UniPoly(self.field, (self.field(s),))
-        return Mat2Poly(self.field, tuple(tuple(s * a for a in row) for row in self.e))
+        """Multiply every entry by a polynomial or a scalar."""
+        (a, b), (c, d) = self.e
+        return Mat2Poly._new(self.field, a * s, b * s, c * s, d * s)
 
     def __pow__(self, n: int) -> "Mat2Poly":
+        """Binary powering; a negative power inverts first."""
         if n < 0:
             return self.inv() ** (-n)
-        result = Mat2Poly.identity(self.field)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return Mat2Poly.identity(self.field) if result is None else result
 
     def det(self) -> UniPoly:
         (a, b), (c, d) = self.e
@@ -536,7 +583,7 @@ class Mat2Poly:
             raise NonConstantDeterminant(f"determinant {det} has degree {det.degree}")
         s = det.constant_term.inverse()
         (a, b), (c, d) = self.e
-        return Mat2Poly(self.field, ((d * s, -b * s), (-c * s, a * s)))
+        return Mat2Poly._new(self.field, d * s, b * -s, c * -s, a * s)
 
     def __eq__(self, other) -> bool:
         return (
@@ -557,94 +604,3 @@ class Mat2Poly:
 
     def render(self) -> list[list[str]]:
         return [[str(p) for p in row] for row in self.e]
-
-
-# -- raw-coefficient 2x2 kernel ---------------------------------------------
-#
-# Word images are computed on plain Python numbers and converted to Mat2Poly
-# once, at the end.  A raw polynomial is a tuple of coefficients by ascending
-# degree with no trailing zeros; a raw matrix is the row-major 4-tuple of its
-# entries.  ``p`` is the characteristic: over F_p every coefficient is an int
-# in [0, p), over Q (p = 0) an int when integral and a Fraction otherwise, so
-# integral images never pay for Fraction arithmetic.
-
-RawPoly = tuple
-RawMat = tuple[RawPoly, RawPoly, RawPoly, RawPoly]
-
-RAW_IDENTITY: RawMat = ((1,), (), (), (1,))
-
-
-def _raw_norm(cs: list, p: int) -> RawPoly:
-    """Reduce mod p (or demote integral Fractions to int) and strip zeros."""
-    if p:
-        cs = [c % p for c in cs]
-    else:
-        cs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _raw_add(f: RawPoly, g: RawPoly, p: int) -> RawPoly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return _raw_norm(out, p)
-
-
-def _raw_conv(out: list, f: RawPoly, g: RawPoly) -> None:
-    """Accumulate the product f*g into the coefficient list ``out``."""
-    n = len(g)
-    for i, a in enumerate(f):
-        if a:
-            out[i : i + n] = [o + a * b for o, b in zip(out[i : i + n], g)]
-
-
-def _raw_mul(f: RawPoly, g: RawPoly, p: int) -> RawPoly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    _raw_conv(out, f, g)
-    return _raw_norm(out, p)
-
-
-def _raw_dot(f1: RawPoly, g1: RawPoly, f2: RawPoly, g2: RawPoly, p: int) -> RawPoly:
-    """f1*g1 + f2*g2, reduced once."""
-    out = [0] * (max(len(f1) + len(g1), len(f2) + len(g2)) - 1)
-    _raw_conv(out, f1, g1)
-    _raw_conv(out, f2, g2)
-    return _raw_norm(out, p)
-
-
-def _raw_mat_mul(m: RawMat, n: RawMat, p: int) -> RawMat:
-    a, b, c, d = m
-    e, f, g, h = n
-    return (
-        _raw_dot(a, e, b, g, p),
-        _raw_dot(a, f, b, h, p),
-        _raw_dot(c, e, d, g, p),
-        _raw_dot(c, f, d, h, p),
-    )
-
-
-def _raw_mat_pow(m: RawMat, k: int, p: int) -> RawMat:
-    """m^k for k >= 0 by binary powering."""
-    result = None
-    while k:
-        if k & 1:
-            result = m if result is None else _raw_mat_mul(result, m, p)
-        k >>= 1
-        if k:
-            m = _raw_mat_mul(m, m, p)
-    return RAW_IDENTITY if result is None else result
-
-
-def _raw_from_mat(m: Mat2Poly) -> RawMat:
-    return tuple(_raw_norm([c.v for c in poly.coeffs], m.field.p) for row in m.e for poly in row)
-
-
-def _raw_to_mat(field: Field, m: RawMat) -> Mat2Poly:
-    a, b, c, d = (UniPoly(field, cs) for cs in m)
-    return Mat2Poly(field, ((a, b), (c, d)))

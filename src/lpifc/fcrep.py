@@ -24,23 +24,7 @@ from .errors import (
     StillInL,
     ZeroPolynomial,
 )
-from .exactalg import (
-    RAW_IDENTITY,
-    Field,
-    FieldElem,
-    Mat2Poly,
-    RawMat,
-    ScalarMat,
-    UniPoly,
-    _raw_add,
-    _raw_from_mat,
-    _raw_mat_mul,
-    _raw_mat_pow,
-    _raw_mul,
-    _raw_norm,
-    _raw_to_mat,
-    scalar_mat,
-)
+from .exactalg import Field, FieldElem, Mat2Poly, ScalarMat, UniPoly, scalar_mat
 from .laurent import LaurentPoly
 from .linalg import nullspace, rank
 from .parsing import TokenStream, parse_terms, sparse_sum
@@ -120,10 +104,10 @@ class FCMat:
         return cls(
             field,
             x=x,
-            A=UniPoly(field, m11.coeffs[1:]),
+            A=m11.shift(-1),
             B=m12,
-            C=UniPoly(field, m21.coeffs[1:]),
-            D=UniPoly(field, m22.coeffs[1:]),
+            C=m21.shift(-1),
+            D=m22.shift(-1),
         )
 
     def to_mat2(self) -> Mat2Poly:
@@ -155,9 +139,9 @@ class FCMat:
 class UnitPair:
     """Images of a pair of units together with their exact inverses.
 
-    The pair also keeps the raw-coefficient images of u, v, u^-1, v^-1 and a
-    cache of word images: every word prefix that ends at a block boundary and
-    has been evaluated, so the cache lives exactly as long as the pair.
+    The pair also caches word images: every word prefix that ends at a block
+    boundary and has been evaluated, so the cache lives exactly as long as the
+    pair.
     """
 
     kind: str
@@ -165,8 +149,7 @@ class UnitPair:
     v: Mat2Poly
     u_inv: Mat2Poly
     v_inv: Mat2Poly
-    _gens: tuple[RawMat, ...] = dc_field(init=False, repr=False, compare=False)
-    _images: dict[Word, RawMat] = dc_field(init=False, repr=False, compare=False)
+    _images: dict[Word, Mat2Poly] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         field = self.u.field
@@ -176,37 +159,37 @@ class UnitPair:
             det = m.det()
             if det.degree != 0:
                 raise InvalidParameter("unit images must have constant nonzero determinant")
-        # Order: u, v, u^-1, v^-1, so generator g with exponent sign s is
-        # _gens[g + 2 * (s < 0)].
-        gens = tuple(_raw_from_mat(m) for m in (self.u, self.v, self.u_inv, self.v_inv))
-        if _raw_mat_mul(gens[0], gens[2], field.p) != RAW_IDENTITY:
+        one = Mat2Poly.identity(field)
+        if self.u * self.u_inv != one:
             raise InvalidParameter("u_inv is not the inverse of u")
-        if _raw_mat_mul(gens[1], gens[3], field.p) != RAW_IDENTITY:
+        if self.v * self.v_inv != one:
             raise InvalidParameter("v_inv is not the inverse of v")
-        object.__setattr__(self, "_gens", gens)
         object.__setattr__(self, "_images", {})
 
-    def _image(self, w: Word) -> RawMat:
-        """The raw image of w: start from the longest cached block prefix
-        and extend it block by block, each block a binary power."""
+    def _image(self, w: Word) -> Mat2Poly:
+        """The image of w: start from the longest cached block prefix and
+        extend it block by block, each block a binary power."""
         images = self._images
         img = images.get(w)
         if img is not None:
             return img
         blocks = w.blocks
-        start, img = 0, RAW_IDENTITY
+        if not blocks:
+            return Mat2Poly.identity(self.u.field)
+        start = 0
         for k in range(len(blocks) - 1, 0, -1):
             hit = images.get(Word(blocks[:k]))
             if hit is not None:
                 start, img = k, hit
                 break
-        p = self.u.field.p
+        # Generator g with exponent sign s is gens[g + 2 * (s < 0)].
+        gens = (self.u, self.v, self.u_inv, self.v_inv)
         for k in range(start, len(blocks)):
             gen, exp = blocks[k]
             if gen > 1:
                 raise InvalidParameter("evaluation needs a two-variable word; reduce first")
-            step = _raw_mat_pow(self._gens[gen + 2 * (exp < 0)], abs(exp), p)
-            img = step if k == 0 else _raw_mat_mul(img, step, p)
+            step = gens[gen + 2 * (exp < 0)] ** abs(exp)
+            img = step if k == 0 else img * step
             images[w if k == len(blocks) - 1 else Word(blocks[: k + 1])] = img
         return img
 
@@ -249,7 +232,7 @@ def unit_pair(kind: str, field: Field) -> UnitPair:
 
 def eval_word(w: Word, up: UnitPair) -> Mat2Poly:
     """The image of a word: the block product of unit powers and inverses."""
-    return _raw_to_mat(up.u.field, up._image(w))
+    return up._image(w)
 
 
 def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
@@ -259,13 +242,10 @@ def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
         raise InvalidParameter(
             "evaluation needs a two-variable polynomial; apply reduce_to_two_vars first"
         )
-    field = up.u.field
-    p = field.p
-    out: RawMat = ((), (), (), ())
+    out = Mat2Poly.zero(up.u.field)
     for w, c in f.terms.items():
-        scalar = _raw_norm([field(c).v], p)
-        out = tuple(_raw_add(o, _raw_mul(e, scalar, p), p) for o, e in zip(out, up._image(w)))
-    return _raw_to_mat(field, out)
+        out = out + up._image(w).scale(c)
+    return out
 
 
 _TABLE_ENTRIES = {
@@ -588,9 +568,8 @@ def g_at_alphabeta(g: UniPoly) -> Mat2Poly:
     """The image of g(ab): g(0) on the diagonal plus (g(T) - g(0)) at e11."""
     field = g.field
     out = Mat2Poly.identity(field).scale(g.constant_term)
-    tail = UniPoly(field, (field.zero,) + tuple(g.coeffs[1:]))
     z = UniPoly.zero(field)
-    return out + Mat2Poly(field, ((tail, z), (z, z)))
+    return out + Mat2Poly(field, ((g - g.constant_term, z), (z, z)))
 
 
 def p1_fails_on_fc(g: UniPoly) -> bool:

@@ -623,9 +623,8 @@ def poly_at(g: UniPoly, a: AlgebraElem) -> AlgebraElem:
     term multiplies the unity)."""
     out = a.algebra.one().scale(g.constant_term)
     power = a.algebra.one()
-    for k in range(1, len(g.coeffs)):
+    for c in g.coeffs[1:]:
         power = power * a
-        c = g.coeffs[k]
         if not c.is_zero:
             out = out + power.scale(c)
     return out
@@ -810,7 +809,10 @@ class ElementTable:
 
 @dataclass
 class CheckResult:
-    holds: bool
+    """``holds`` is None (inconclusive) when a sampled check examined
+    nothing."""
+
+    holds: bool | None
     checked: int
     witness: dict | None = None
 
@@ -865,7 +867,8 @@ def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
     """Does g(ab) = 0 for all a, b with a^2 = b^2 = 0?
 
     Exhaustive mode scans every square-zero pair; sampled mode draws random
-    elements and keeps the square-zero ones.
+    elements and keeps the square-zero ones, and is inconclusive when it
+    keeps none.
     """
     if g.is_zero:
         raise ZeroPolynomial("the vanishing property is stated for nonzero polynomials")
@@ -910,7 +913,7 @@ def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
                     checked=checked,
                     witness={"a": a.render(), "b": b.render(), "value": val.render()},
                 )
-    return CheckResult(holds=True, checked=checked)
+    return CheckResult(holds=True if checked else None, checked=checked)
 
 
 def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
@@ -949,11 +952,15 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
               samples: int = 2000, seed: int = 0) -> CheckResult:
     """With h = T*g(T): does h(bacr) = 0 for all a^2 = 0, bc = 0, and all r?
 
-    Precondition: the algebra passes the square-zero vanishing check for g.
+    Precondition: the algebra passes the square-zero vanishing check for g;
+    an inconclusive precondition makes the check inconclusive too, as does a
+    sampled run that keeps no tuple.
     """
     if g.is_zero:
         raise ZeroPolynomial("the vanishing property is stated for nonzero polynomials")
     p1 = p1_check(algebra, g, mode=mode, samples=samples, seed=seed)
+    if p1.holds is None:
+        return CheckResult(holds=None, checked=0)
     if not p1.holds:
         raise InvalidParameter(
             "precondition violated: the algebra fails the square-zero vanishing "
@@ -1014,7 +1021,7 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
                 witness={"a": a.render(), "b": b.render(), "c": c.render(),
                          "r": r.render(), "value": val.render()},
             )
-    return CheckResult(holds=True, checked=checked)
+    return CheckResult(holds=True if checked else None, checked=checked)
 
 
 # -- the matrix-algebra witness -------------------------------------------------

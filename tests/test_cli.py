@@ -14,11 +14,18 @@ from lpifc.cli import main
 # before it was rebuilt from conjugated matrix units. The entries of every
 # subcommand that parses a word, Laurent, a/b or T input (with stderr too)
 # were recorded with one signed-term loop per grammar (commit 71d13b0)
-# before the grammars were folded into `parsing.parse_terms`.
+# before the grammars were folded into `parsing.parse_terms`. The `support3`,
+# `cprime-bound`, `grpalg` and `standard-poly` entries (with stderr) were
+# recorded with the separate raw-coefficient evaluation kernel (commit
+# 5f57f23) before `UniPoly`/`Mat2Poly` took over its arithmetic.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]
-GOLDEN_PARSED = [c for c in GOLDEN_ALL if "stderr" in c]
+CAMPAIGNS_AND_ALGEBRAS = ("support3", "cprime-bound", "grpalg", "standard-poly")
+GOLDEN_CAMPAIGNS = [c for c in GOLDEN_ALL if c["argv"][0] in CAMPAIGNS_AND_ALGEBRAS]
+GOLDEN_PARSED = [
+    c for c in GOLDEN_ALL if "stderr" in c and c["argv"][0] not in CAMPAIGNS_AND_ALGEBRAS
+]
 
 
 def run(capsys, *argv):
@@ -247,6 +254,14 @@ def test_golden_thekey(capsys, case):
 
 @pytest.mark.parametrize("case", GOLDEN_PARSED, ids=lambda c: " ".join(c["argv"]))
 def test_golden_parsed_inputs(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    assert code == case["exit"]
+    assert out == case["stdout"]
+    assert err == case["stderr"]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CAMPAIGNS, ids=lambda c: " ".join(c["argv"]))
+def test_golden_campaigns_and_algebras(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]

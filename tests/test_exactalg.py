@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpifc.errors import InvalidParameter, NonConstantDeterminant, ParseError, SingularMatrix, ZeroModulus
 from lpifc.exactalg import (
     NEG_INF,
     Field,
+    FieldElem,
     Mat2Poly,
     UniPoly,
     scalar_mat,
@@ -192,3 +195,130 @@ def test_scalar_mat_helpers():
     doubled = scalar_mat_add(m, m)
     assert doubled == scalar_mat_scale(Q(2), m)
     assert render_scalar_mat(doubled) == [["2", "0"], ["0", "-2"]]
+
+
+# -- properties over Q, F2, F3 and F5 -------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+fields = st.sampled_from([Q, F2, F3, Field(5)])
+
+
+def coefficients(field):
+    if field.p == 0:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(-field.p, 2 * field.p)
+
+
+def unipolys(field, max_size=4):
+    return st.lists(coefficients(field), max_size=max_size).map(lambda cs: UniPoly(field, cs))
+
+
+def mats(field):
+    return st.lists(unipolys(field, 3), min_size=4, max_size=4).map(
+        lambda e: Mat2Poly(field, ((e[0], e[1]), (e[2], e[3])))
+    )
+
+
+def _triples(make):
+    return fields.flatmap(lambda f: st.tuples(make(f), make(f), make(f)))
+
+
+def _assert_canonical(p):
+    """Coefficients are field elements (Fractions over Q) with no trailing zero."""
+    cs = p.coeffs
+    assert len(cs) == (0 if p.is_zero else p.degree + 1)
+    assert not cs or not cs[-1].is_zero
+    for c in cs + (p.coeff(len(cs)), p.constant_term):
+        assert isinstance(c, FieldElem) and c.field == p.field
+        assert isinstance(c.v, Fraction) if p.field.p == 0 else 0 <= c.v < p.field.p
+    if not p.is_zero:
+        assert p.leading == cs[-1]
+    assert UniPoly(p.field, cs) == p
+
+
+@PROPERTY_SETTINGS
+@given(_triples(unipolys))
+def test_unipoly_ring_laws(polys):
+    f, g, h = polys
+    for lhs, rhs in (
+        ((f * g) * h, f * (g * h)),
+        (f * (g + h), f * g + f * h),
+        ((f + g) * h, f * h + g * h),
+        (f + g, g + f),
+        (f * g, g * f),
+        (f - g, -(g - f)),
+        (f ** 3, f * f * f),
+    ):
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
+    assert (f - f).is_zero and (f - f).coeffs == ()
+    for p in (f, f + g, f - g, f * g, -f, f * (g + h), f - f, f.shift(2), f.shift(-1)):
+        _assert_canonical(p)
+
+
+@PROPERTY_SETTINGS
+@given(fields.flatmap(lambda f: st.tuples(unipolys(f), coefficients(f), st.integers(0, 4))))
+def test_unipoly_scalars_and_values(case):
+    f, c, x = case
+    field = f.field
+    cpoly = UniPoly(field, (c,))
+    assert f * c == c * f == f * cpoly
+    assert f + c == f + cpoly and f - c == f - cpoly
+    assert (f * c)(x) == f(x) * field(c)
+    assert f.shift(1).shift(-1) == f
+    # equal polynomials built from other spellings of their coefficients hash alike
+    respelled = UniPoly(field, [field(v) for v in f.coeffs] + [0, field.zero])
+    assert respelled == f and hash(respelled) == hash(f)
+    value = f(x)
+    assert isinstance(value, FieldElem) and (field.p != 0 or isinstance(value.v, Fraction))
+
+
+@PROPERTY_SETTINGS
+@given(_triples(mats))
+def test_mat2poly_ring_laws(triple):
+    a, b, c = triple
+    for lhs, rhs in (
+        ((a * b) * c, a * (b * c)),
+        (a * (b + c), a * b + a * c),
+        ((a + b) * c, a * c + b * c),
+        (a + b, b + a),
+        (a ** 3, a * a * a),
+        (a - b, -(b - a)),
+    ):
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
+    assert (a - a).is_zero
+    assert (a * b).det() == a.det() * b.det()
+    for m in (a * b, a + b, a - a, a.scale(b.entry(0, 1))):
+        for row in m.e:
+            for p in row:
+                _assert_canonical(p)
+        for row in m.coeff_at(1):
+            assert all(isinstance(x, FieldElem) for x in row)
+
+
+def _unit_products(field):
+    from lpifc.fcrep import unit_pair
+
+    def product(kind_and_picks):
+        kind, picks = kind_and_picks
+        up = unit_pair(kind, field)
+        gens = (up.u, up.v, up.u_inv, up.v_inv)
+        out = Mat2Poly.identity(field)
+        for k in picks:
+            out = out * gens[k]
+        return out
+
+    kinds = st.sampled_from(["primary", "alternate", "swapped"])
+    return st.tuples(kinds, st.lists(st.integers(0, 3), max_size=4)).map(product)
+
+
+@PROPERTY_SETTINGS
+@given(fields.flatmap(lambda f: st.tuples(_unit_products(f), _unit_products(f))))
+def test_mat2poly_inverse_of_unit_products(pair):
+    u, v = pair
+    assert (u * v).inv() == v.inv() * u.inv()
+    assert u * u.inv() == Mat2Poly.identity(u.field)
+    assert u ** -2 == u.inv() * u.inv()
+

@@ -1,6 +1,7 @@
 """Groups, group algebras, structure-constant algebras, unit arithmetic,
 falsification, standard polynomials, and the vanishing checks."""
 
+import json
 import random
 
 import pytest
@@ -285,6 +286,34 @@ def test_p1_sampled_mode():
     result = p1_check(square_zero_algebra(F2, 2), UniPoly.parse("T^2", F2),
                       mode="sampled", samples=200, seed=3)
     assert result.holds
+
+
+def test_sampled_checks_that_examine_nothing_are_inconclusive():
+    # Over Q almost no random element squares to zero, so these sampled runs
+    # keep no pair: no verdict, not a vacuous "holds".
+    result = p1_check(matrix2_algebra(Q), UniPoly.T(Q), mode="sampled", samples=50)
+    assert (result.holds, result.checked) == (None, 0)
+    assert result.to_dict()["holds"] is None
+    # an inconclusive precondition makes the chain check inconclusive
+    result = bac_check(square_zero_algebra(Q, 2), UniPoly.parse("T^2", Q),
+                       mode="sampled", samples=20, seed=3)
+    assert (result.holds, result.checked) == (None, 0)
+    # the precondition kept one pair, the chain loop none
+    A, g = square_zero_algebra(F2, 1), UniPoly.parse("T^2", F2)
+    assert p1_check(A, g, mode="sampled", samples=1, seed=1).checked == 1
+    result = bac_check(A, g, mode="sampled", samples=1, seed=1)
+    assert (result.holds, result.checked) == (None, 0)
+
+
+def test_sampled_check_verdict_in_cli(capsys):
+    from lpifc.cli import main
+
+    argv = ["p1", "--algebra", "m2", "--field", "0", "--g", "T", "--mode", "sampled", "--samples", "50"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "square-zero vanishing of g = T on M2(Q): inconclusive\n"
+    assert main(argv + ["--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["holds"], record["checked"]) == (None, 0)
 
 
 def test_bac_holds_after_p1():
