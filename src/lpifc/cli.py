@@ -16,12 +16,14 @@ the same seed are byte-identical.  Wall-clock timings are emitted only under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import expand as expand_mod
 from . import fcrep, grpalg, search
 from .errors import (
+    ArityMismatch,
     InvalidParameter,
     NoSigmaTau,
     ParseError,
@@ -390,7 +392,12 @@ def cmd_standard_poly(args) -> int:
     if args.elements:
         elems = []
         for chunk in args.elements.split(";"):
-            coeffs = [int(tok) for tok in chunk.split(",")]
+            try:
+                coeffs = [int(tok) for tok in chunk.split(",")]
+            except ValueError:
+                raise InvalidParameter(
+                    f"--elements coefficients must be integers, got {chunk!r}"
+                ) from None
             elems.append(algebra.elem(coeffs))
         value = grpalg.standard_poly(args.k, elems)
         record = {
@@ -407,14 +414,12 @@ def cmd_standard_poly(args) -> int:
     else:
         result = grpalg.standard_poly_sampled(algebra, k=args.k, samples=args.samples, seed=args.seed)
     record = {"algebra": algebra.name, "k": args.k, "mode": args.mode, **result.to_dict()}
-    lines = [
-        f"S_{args.k} on {algebra.name} ({args.mode}): "
-        f"{'vanishes' if result.holds else 'does not vanish'} over {result.checked} tuples"
-    ]
+    verdict = {True: "vanishes", False: "does not vanish", None: "inconclusive"}[result.holds]
+    lines = [f"S_{args.k} on {algebra.name} ({args.mode}): {verdict} over {result.checked} tuples"]
     if result.witness:
         lines.append(f"  witness: {result.witness}")
     _emit(args, record, lines)
-    return 0 if result.holds else 1
+    return 1 if result.holds is False else 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -537,16 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about as much as a small query, so one process
+# builds it once; parsing does not change it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (ParseError, InvalidParameter, ZeroModulus, ZeroPolynomial,
-            TooLargeForExhaustive) as exc:
+            TooLargeForExhaustive, ArityMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NoSigmaTau,) as exc:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one check of a count
+parameter.
 
 Every error raised on a violated precondition names the precondition in its
 message; the CLI maps these classes onto its exit codes.
@@ -83,3 +84,10 @@ class DimensionMismatch(ValueError):
 
 class AllZero(ValueError):
     """Every component within the truncation bound vanished; raise the bound."""
+
+
+def check_count(name: str, value: int) -> None:
+    """A sample or trial count must not be negative (zero is allowed and
+    examines nothing)."""
+    if value < 0:
+        raise InvalidParameter(f"{name} must be non-negative, got {value}")

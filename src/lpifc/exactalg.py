@@ -230,16 +230,25 @@ class FieldElem:
 Coeff = Union[FieldElem, int, Fraction]
 
 
-def _canonical(p: int, cs) -> tuple:
-    """Plain coefficients in canonical form: reduced mod p (over Q, integral
-    Fractions demoted to int), with no trailing zeros."""
+def _reduce(p: int, cs) -> list:
+    """Plain numbers in canonical form: reduced mod p, or over Q (p = 0)
+    with integral Fractions demoted to int."""
     if p:
-        cs = [c % p for c in cs]
-    else:
-        cs = [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
+        return [c % p for c in cs]
+    return [c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in cs]
+
+
+def _canonical(p: int, cs) -> tuple:
+    """Canonical plain coefficients with no trailing zeros."""
+    cs = _reduce(p, cs)
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
+
+
+def _plain_elem(field: Field, v) -> FieldElem:
+    """The field element of a canonical plain number (a Fraction over Q)."""
+    return FieldElem(field, v if field.p or type(v) is Fraction else Fraction(v))
 
 
 class UniPoly:
@@ -279,9 +288,6 @@ class UniPoly:
                     out[i : i + n] = [o + a * b for o, b in zip(out[i : i + n], g)]
         return cls._new(field, out)
 
-    def _elem(self, v) -> FieldElem:
-        return FieldElem(self.field, v if self.field.p or type(v) is Fraction else Fraction(v))
-
     @classmethod
     def zero(cls, field: Field) -> "UniPoly":
         return cls._new(field, ())
@@ -300,7 +306,7 @@ class UniPoly:
 
     @property
     def coeffs(self) -> tuple[FieldElem, ...]:
-        return tuple(self._elem(c) for c in self._c)
+        return tuple(_plain_elem(self.field, c) for c in self._c)
 
     @property
     def degree(self):
@@ -311,7 +317,7 @@ class UniPoly:
         return not self._c
 
     def coeff(self, k: int) -> FieldElem:
-        return self._elem(self._c[k] if 0 <= k < len(self._c) else 0)
+        return _plain_elem(self.field, self._c[k] if 0 <= k < len(self._c) else 0)
 
     @property
     def constant_term(self) -> FieldElem:
@@ -321,7 +327,7 @@ class UniPoly:
     def leading(self) -> FieldElem:
         if self.is_zero:
             raise ZeroDivisionError("the zero polynomial has no leading coefficient")
-        return self._elem(self._c[-1])
+        return _plain_elem(self.field, self._c[-1])
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -391,7 +397,7 @@ class UniPoly:
         acc = 0
         for c in reversed(self._c):
             acc = (acc * x + c) % p if p else acc * x + c
-        return self._elem(acc)
+        return _plain_elem(self.field, acc)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (FieldElem, int, Fraction)):

@@ -24,8 +24,9 @@ from .errors import (
     ParseError,
     TooLargeForExhaustive,
     ZeroPolynomial,
+    check_count,
 )
-from .exactalg import Field, FieldElem, UniPoly
+from .exactalg import Field, FieldElem, UniPoly, _plain_elem, _reduce
 from .laurent import LaurentPoly
 from .linalg import solve
 
@@ -230,35 +231,57 @@ def _int_arg(arg: str, part: str) -> int:
 
 
 class AlgebraElem:
-    """An element of a FinAlgebra as a coefficient vector over the basis."""
+    """An element of a FinAlgebra as a coefficient vector over the basis.
 
-    __slots__ = ("algebra", "coeffs")
+    The coefficients are kept as plain numbers in the private slot ``_c``
+    (over F_p ints in [0, p), over Q ints while integral and ``Fraction``s
+    otherwise), as in :class:`UniPoly`; ``coeffs`` hands out
+    :class:`FieldElem`s.
+    """
+
+    __slots__ = ("algebra", "_c")
 
     def __init__(self, algebra: "FinAlgebra", coeffs: Sequence):
         if len(coeffs) != algebra.dim:
             raise InvalidParameter("coefficient vector length must equal the dimension")
         self.algebra = algebra
-        self.coeffs = tuple(algebra.field(c) for c in coeffs)
+        self._c = algebra._plain(coeffs)
+
+    @classmethod
+    def _new(cls, algebra: "FinAlgebra", c: tuple) -> "AlgebraElem":
+        """Wrap a canonical plain vector, skipping the coercion of ``__init__``."""
+        e = object.__new__(cls)
+        e.algebra = algebra
+        e._c = c
+        return e
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        field = self.algebra.field
+        return tuple(_plain_elem(field, c) for c in self._c)
 
     def _check(self, other: "AlgebraElem"):
         if other.algebra is not self.algebra:
             raise InvalidParameter("elements belong to different algebras")
 
+    def _combine(self, cs) -> "AlgebraElem":
+        return AlgebraElem._new(self.algebra, self.algebra._reduce(cs))
+
     def __add__(self, other: "AlgebraElem") -> "AlgebraElem":
         self._check(other)
-        return AlgebraElem(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine([a + b for a, b in zip(self._c, other._c)])
 
     def __sub__(self, other: "AlgebraElem") -> "AlgebraElem":
         self._check(other)
-        return AlgebraElem(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine([a - b for a, b in zip(self._c, other._c)])
 
     def __neg__(self) -> "AlgebraElem":
-        return AlgebraElem(self.algebra, tuple(-a for a in self.coeffs))
+        return self._combine([-a for a in self._c])
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElem):
             self._check(other)
-            return AlgebraElem(self.algebra, self.algebra.mul_vec(self.coeffs, other.coeffs))
+            return AlgebraElem._new(self.algebra, self.algebra._mul_raw(self._c, other._c))
         if isinstance(other, (FieldElem, int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -269,8 +292,8 @@ class AlgebraElem:
         return NotImplemented
 
     def scale(self, c) -> "AlgebraElem":
-        c = self.algebra.field(c)
-        return AlgebraElem(self.algebra, tuple(a * c for a in self.coeffs))
+        (c,) = self.algebra._plain((c,))
+        return self._combine([a * c for a in self._c])
 
     def __pow__(self, n: int) -> "AlgebraElem":
         if n < 0:
@@ -282,7 +305,7 @@ class AlgebraElem:
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self._c)
 
     def key(self) -> tuple:
         return tuple(c.v for c in self.coeffs)
@@ -291,11 +314,12 @@ class AlgebraElem:
         return (
             isinstance(other, AlgebraElem)
             and other.algebra is self.algebra
-            and other.coeffs == self.coeffs
+            and other._c == self._c
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.key()))
+        # Equal to the hash of (id, key()): a Fraction hashes like its int.
+        return hash((id(self.algebra), self._c))
 
     def is_unit(self) -> bool:
         try:
@@ -320,10 +344,9 @@ class AlgebraElem:
         if self.is_zero:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
+        for label, c in zip(self.algebra.labels, self._c):
+            if not c:
                 continue
-            label = self.algebra.labels[i]
             if label == "1":
                 parts.append(str(c))
             elif c == 1:
@@ -341,9 +364,15 @@ class AlgebraElem:
 
 class FinAlgebra:
     """A unital associative algebra of finite dimension given by structure
-    constants: sc[i][j] is the coefficient vector of e_i * e_j."""
+    constants: sc[i][j] is the coefficient vector of e_i * e_j.
 
-    __slots__ = ("field", "dim", "sc", "unity", "labels", "name", "group")
+    At construction the constants are also kept as sparse rows of plain
+    numbers: ``_rows[i][j]`` holds the (k, s) pairs with s != 0.
+    :meth:`_mul_raw` multiplies plain vectors over them; it is the one
+    algebra product.
+    """
+
+    __slots__ = ("field", "dim", "sc", "unity", "labels", "name", "group", "_rows", "_unity")
 
     def __init__(self, field: Field, sc, unity: Sequence, labels: Sequence[str] | None = None,
                  name: str = "algebra", group: FiniteGroup | None = None, validate: bool = True):
@@ -359,72 +388,83 @@ class FinAlgebra:
             raise InvalidParameter("unity/label length must equal the dimension")
         if any(len(row) != d or any(len(vec) != d for vec in row) for row in self.sc):
             raise InvalidParameter("structure constant tensor must be dim^3")
+        self._rows = tuple(
+            tuple(tuple((k, s) for k, s in enumerate(self._plain(vec)) if s) for vec in row)
+            for row in self.sc
+        )
+        self._unity = self._plain(self.unity)
         if validate:
             self._validate()
 
+    def _reduce(self, cs) -> tuple:
+        return tuple(_reduce(self.field.p, cs))
+
+    def _plain(self, coeffs: Sequence) -> tuple:
+        """Coerce coefficients into a canonical plain vector."""
+        field = self.field
+        return self._reduce([field(c).v for c in coeffs])
+
+    def _basis_raw(self, i: int) -> tuple:
+        return tuple(int(k == i) for k in range(self.dim))
+
+    def _mul_raw(self, u: tuple, v: tuple) -> tuple:
+        """The product of two plain vectors, reduced once at the end."""
+        out = [0] * self.dim
+        v_support = [(j, b) for j, b in enumerate(v) if b]
+        for row, a in zip(self._rows, u):
+            if a:
+                for j, b in v_support:
+                    c = a * b
+                    for k, s in row[j]:
+                        out[k] += c * s
+        return self._reduce(out)
+
+    def _poly_raw(self, g: UniPoly, u: tuple) -> tuple:
+        """g(u) on a plain vector; the constant term multiplies the unity."""
+        if g.field != self.field:
+            raise InvalidParameter("cannot mix elements of different fields")
+        cs = g._c or (0,)
+        out = [cs[0] * x for x in self._unity]
+        power = self._unity
+        for c in cs[1:]:
+            power = self._mul_raw(power, u)
+            if c:
+                out = [o + c * x for o, x in zip(out, power)]
+        return self._reduce(out)
+
     def _validate(self):
-        one = self.unity
-        for i in range(self.dim):
-            basis = tuple(
-                self.field.one if k == i else self.field.zero for k in range(self.dim)
-            )
-            if self.mul_vec(one, basis) != basis or self.mul_vec(basis, one) != basis:
+        mul, one = self._mul_raw, self._unity
+        basis = [self._basis_raw(i) for i in range(self.dim)]
+        for e in basis:
+            if mul(one, e) != e or mul(e, one) != e:
                 raise InvalidParameter("unity vector does not act as a two-sided identity")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                left = self.sc[i][j]
-                for k in range(self.dim):
-                    basis_k = tuple(
-                        self.field.one if t == k else self.field.zero for t in range(self.dim)
-                    )
-                    lhs = self.mul_vec(left, basis_k)
-                    rhs = self.mul_vec_basis_left(i, self.sc[j][k])
-                    if lhs != rhs:
+        for ei in basis:
+            for ej in basis:
+                eij = mul(ei, ej)
+                for ek in basis:
+                    if mul(eij, ek) != mul(ei, mul(ej, ek)):
                         raise InvalidParameter("structure constants are not associative")
 
     def mul_vec(self, u: Sequence[FieldElem], v: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
-        out = [self.field.zero] * self.dim
-        for i, ui in enumerate(u):
-            if ui.is_zero:
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero:
-                    continue
-                c = ui * vj
-                vec = self.sc[i][j]
-                for k, s in enumerate(vec):
-                    if not s.is_zero:
-                        out[k] = out[k] + c * s
-        return tuple(out)
-
-    def mul_vec_basis_left(self, i: int, v: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
-        out = [self.field.zero] * self.dim
-        for j, vj in enumerate(v):
-            if vj.is_zero:
-                continue
-            for k, s in enumerate(self.sc[i][j]):
-                if not s.is_zero:
-                    out[k] = out[k] + vj * s
-        return tuple(out)
+        return tuple(_plain_elem(self.field, c)
+                     for c in self._mul_raw(self._plain(u), self._plain(v)))
 
     def left_mult_matrix(self, a: Sequence[FieldElem]) -> list[list[FieldElem]]:
-        cols = []
-        for j in range(self.dim):
-            basis_j = tuple(self.field.one if t == j else self.field.zero for t in range(self.dim))
-            cols.append(self.mul_vec(a, basis_j))
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        a = self._plain(a)
+        cols = [self._mul_raw(a, self._basis_raw(j)) for j in range(self.dim)]
+        return [[_plain_elem(self.field, col[k]) for col in cols] for k in range(self.dim)]
 
     def elem(self, coeffs: Sequence) -> AlgebraElem:
         return AlgebraElem(self, coeffs)
 
     def zero(self) -> AlgebraElem:
-        return AlgebraElem(self, (0,) * self.dim)
+        return AlgebraElem._new(self, (0,) * self.dim)
 
     def one(self) -> AlgebraElem:
-        return AlgebraElem(self, self.unity)
+        return AlgebraElem._new(self, self._unity)
 
     def basis(self, i: int) -> AlgebraElem:
-        return AlgebraElem(self, tuple(1 if k == i else 0 for k in range(self.dim)))
+        return AlgebraElem._new(self, self._basis_raw(i))
 
     def random_element(self, rng) -> AlgebraElem:
         return AlgebraElem(self, tuple(self.field.random(rng) for _ in range(self.dim)))
@@ -621,13 +661,7 @@ def hat(algebra: FinAlgebra, g: int, normalized: bool = False) -> AlgebraElem:
 def poly_at(g: UniPoly, a: AlgebraElem) -> AlgebraElem:
     """Evaluate a one-variable polynomial at an algebra element (the constant
     term multiplies the unity)."""
-    out = a.algebra.one().scale(g.constant_term)
-    power = a.algebra.one()
-    for c in g.coeffs[1:]:
-        power = power * a
-        if not c.is_zero:
-            out = out + power.scale(c)
-    return out
+    return AlgebraElem._new(a.algebra, a.algebra._poly_raw(g, a._c))
 
 
 # -- identity falsification on unit groups ------------------------------------
@@ -697,6 +731,7 @@ def falsify_lpi(f: LaurentPoly, algebra: FinAlgebra, trials: int = 200, seed: in
     """Sample unit tuples and evaluate f; the first nonzero evaluation is a
     counterexample witness.  Sampling mixes uniform group elements,
     1 + nilpotent constructions, and rejection-sampled invertibles."""
+    check_count("trials", trials)
     if f.is_zero:
         return FalsifyResult(found=False, trials=trials)
     rng = random.Random(seed)
@@ -737,6 +772,7 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 
 def standard_poly(k: int, elements: Sequence[AlgebraElem]) -> AlgebraElem:
     """S_k: the signed sum of all k! permutation products."""
+    _check_arity(k)
     if len(elements) != k:
         raise ArityMismatch(f"S_{k} needs exactly {k} elements, got {len(elements)}")
     algebra = elements[0].algebra
@@ -770,37 +806,33 @@ class ElementTable:
                 f"{count} elements exceed the exhaustive bound {enum_limit}"
             )
         self.algebra = algebra
-        raw = list(range(field.order))
-        self.vectors = [tuple(v) for v in itertools.product(raw, repeat=algebra.dim)]
-        self.index = {v: i for i, v in enumerate(self.vectors)}
-        self.n = count
-        self.zero_idx = self.index[(0,) * algebra.dim]
-        self.one_idx = self.index[tuple(c.v for c in algebra.unity)]
+        p = field.order
+        # Plain vectors in [0, p): already canonical for the raw product.
+        self.vectors = list(itertools.product(range(p), repeat=algebra.dim))
+        index = self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.n = n = count
+        self.zero_idx = index[(0,) * algebra.dim]
+        self.one_idx = index[algebra._unity]
         if count > table_limit:
             raise TooLargeForExhaustive(
                 f"{count} elements exceed the index-table bound {table_limit}"
             )
-        p = field.order
-        n, d = self.n, algebra.dim
         self.add = np.zeros((n, n), dtype=np.int32)
         self.mul = np.zeros((n, n), dtype=np.int32)
         self.neg = np.zeros(n, dtype=np.int32)
-        elems = [algebra.elem(v) for v in self.vectors]
-        for i, u in enumerate(elems):
-            self.neg[i] = self.index[tuple(((-x) % p) for x in self.vectors[i])]
-            for j, v in enumerate(elems):
-                self.add[i, j] = self.index[tuple((a + b) % p for a, b in zip(self.vectors[i], self.vectors[j]))]
-                self.mul[i, j] = self.index[(u * v).key()]
+        mul = algebra._mul_raw
+        for i, u in enumerate(self.vectors):
+            self.neg[i] = index[tuple(-x % p for x in u)]
+            self.add[i] = [index[tuple([(a + b) % p for a, b in zip(u, v)])] for v in self.vectors]
+            self.mul[i] = [index[mul(u, v)] for v in self.vectors]
 
     def elem(self, i: int) -> AlgebraElem:
-        return self.algebra.elem(self.vectors[i])
+        return AlgebraElem._new(self.algebra, self.vectors[i])
 
     def poly_values(self, g: UniPoly) -> np.ndarray:
         """Index of g(element) for every element, computed exactly once each."""
-        out = np.zeros(self.n, dtype=np.int32)
-        for i in range(self.n):
-            out[i] = self.index[poly_at(g, self.elem(i)).key()]
-        return out
+        poly = self.algebra._poly_raw
+        return np.array([self.index[poly(g, v)] for v in self.vectors], dtype=np.int32)
 
     def square_zero_indices(self) -> np.ndarray:
         diag = self.mul[np.arange(self.n), np.arange(self.n)]
@@ -823,6 +855,7 @@ class CheckResult:
 def standard_poly_exhaustive(algebra: FinAlgebra, k: int = 4,
                              max_tuples: int = 2**24) -> CheckResult:
     """Check S_k = 0 over every k-tuple of algebra elements."""
+    _check_arity(k)
     table = ElementTable(algebra)
     n = table.n
     if n**k > max_tuples:
@@ -832,14 +865,24 @@ def standard_poly_exhaustive(algebra: FinAlgebra, k: int = 4,
 
 
 def standard_poly_sampled(algebra: FinAlgebra, k: int, samples: int, seed: int = 0) -> CheckResult:
-    """Check S_k = 0 over seeded random k-tuples."""
+    """Check S_k = 0 over seeded random k-tuples; inconclusive with no
+    samples."""
+    _check_arity(k)
+    check_count("samples", samples)
     table = ElementTable(algebra)
     rng = np.random.default_rng(seed)
     grids = rng.integers(0, table.n, size=(k, samples), dtype=np.int32)
     return _standard_poly_on_tuples(table, k, grids)
 
 
+def _check_arity(k: int) -> None:
+    if k < 1:
+        raise InvalidParameter(f"the standard polynomial S_k needs k >= 1, got {k}")
+
+
 def _standard_poly_on_tuples(table: ElementTable, k: int, grids: np.ndarray) -> CheckResult:
+    if grids.shape[1] == 0:
+        return CheckResult(holds=None, checked=0)
     acc = np.full(grids.shape[1], table.zero_idx, dtype=np.int32)
     for perm in itertools.permutations(range(k)):
         prod = grids[perm[0]]
@@ -862,6 +905,15 @@ def _standard_poly_on_tuples(table: ElementTable, k: int, grids: np.ndarray) -> 
 # -- square-zero and zero-product vanishing checks -----------------------------
 
 
+def _check_poly(algebra: FinAlgebra, g: UniPoly, mode: str) -> None:
+    if g.is_zero:
+        raise ZeroPolynomial("the vanishing property is stated for nonzero polynomials")
+    if g.field != algebra.field:
+        raise InvalidParameter("polynomial and algebra must share the field")
+    if mode not in ("exhaustive", "sampled"):
+        raise InvalidParameter(f"unknown mode {mode!r}")
+
+
 def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
              samples: int = 2000, seed: int = 0) -> CheckResult:
     """Does g(ab) = 0 for all a, b with a^2 = b^2 = 0?
@@ -870,70 +922,44 @@ def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
     elements and keeps the square-zero ones, and is inconclusive when it
     keeps none.
     """
-    if g.is_zero:
-        raise ZeroPolynomial("the vanishing property is stated for nonzero polynomials")
-    if g.field != algebra.field:
-        raise InvalidParameter("polynomial and algebra must share the field")
+    _check_poly(algebra, g, mode)
+    check_count("samples", samples)
     if mode == "exhaustive":
         try:
             table = ElementTable(algebra)
         except TooLargeForExhaustive:
             return _p1_exhaustive_direct(algebra, g)
-        sq0 = table.square_zero_indices()
-        gvals = table.poly_values(g)
-        ab = table.mul[np.ix_(sq0, sq0)]
-        vals = gvals[ab]
-        bad = np.argwhere(vals != table.zero_idx)
-        checked = int(sq0.size) ** 2
-        if bad.size == 0:
-            return CheckResult(holds=True, checked=checked)
-        i, j = int(bad[0][0]), int(bad[0][1])
-        witness = {
-            "a": table.elem(int(sq0[i])).render(),
-            "b": table.elem(int(sq0[j])).render(),
-            "value": table.elem(int(vals[i, j])).render(),
-        }
-        return CheckResult(holds=False, checked=checked, witness=witness)
-    if mode != "sampled":
-        raise InvalidParameter(f"unknown mode {mode!r}")
+        return _p1_on_table(table, g)
     rng = random.Random(seed)
     square_zero: list[AlgebraElem] = []
     for _ in range(samples):
         a = algebra.random_element(rng)
         if (a * a).is_zero:
             square_zero.append(a)
-    checked = 0
-    for a in square_zero:
-        for b in square_zero:
-            checked += 1
-            val = poly_at(g, a * b)
-            if not val.is_zero:
-                return CheckResult(
-                    holds=False,
-                    checked=checked,
-                    witness={"a": a.render(), "b": b.render(), "value": val.render()},
-                )
-    return CheckResult(holds=True if checked else None, checked=checked)
+    result = _p1_on_pairs(square_zero, g)
+    return result if result.checked else CheckResult(holds=None, checked=0)
 
 
-def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
-    """Exhaustive scan without index tables: enumerate all elements, filter
-    the square-zero ones, test every pair with exact arithmetic."""
-    field = algebra.field
-    if not field.is_finite:
-        raise TooLargeForExhaustive("exhaustive enumeration needs a finite field")
-    count = field.order ** algebra.dim
-    if count > ENUM_LIMIT:
-        raise TooLargeForExhaustive(f"{count} elements exceed the exhaustive bound {ENUM_LIMIT}")
-    square_zero = []
-    for vec in itertools.product(range(field.order), repeat=algebra.dim):
-        a = algebra.elem(vec)
-        if (a * a).is_zero:
-            square_zero.append(a)
-    if len(square_zero) ** 2 > 2**22:
-        raise TooLargeForExhaustive(
-            f"{len(square_zero)}^2 square-zero pairs exceed the pair bound 2^22"
-        )
+def _p1_on_table(table: ElementTable, g: UniPoly) -> CheckResult:
+    """The exhaustive square-zero vanishing scan on an element table."""
+    sq0 = table.square_zero_indices()
+    gvals = table.poly_values(g)
+    vals = gvals[table.mul[np.ix_(sq0, sq0)]]
+    bad = np.argwhere(vals != table.zero_idx)
+    checked = int(sq0.size) ** 2
+    if bad.size == 0:
+        return CheckResult(holds=True, checked=checked)
+    i, j = int(bad[0][0]), int(bad[0][1])
+    witness = {
+        "a": table.elem(int(sq0[i])).render(),
+        "b": table.elem(int(sq0[j])).render(),
+        "value": table.elem(int(vals[i, j])).render(),
+    }
+    return CheckResult(holds=False, checked=checked, witness=witness)
+
+
+def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly) -> CheckResult:
+    """Test g(ab) = 0 on every pair of the given square-zero elements."""
     checked = 0
     for a in square_zero:
         for b in square_zero:
@@ -948,19 +974,45 @@ def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
     return CheckResult(holds=True, checked=checked)
 
 
+def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
+    """Exhaustive scan without index tables: enumerate all elements, filter
+    the square-zero ones, test every pair with exact arithmetic."""
+    field = algebra.field
+    if not field.is_finite:
+        raise TooLargeForExhaustive("exhaustive enumeration needs a finite field")
+    count = field.order ** algebra.dim
+    if count > ENUM_LIMIT:
+        raise TooLargeForExhaustive(f"{count} elements exceed the exhaustive bound {ENUM_LIMIT}")
+    square_zero = [
+        AlgebraElem._new(algebra, v)
+        for v in itertools.product(range(field.order), repeat=algebra.dim)
+        if not any(algebra._mul_raw(v, v))
+    ]
+    if len(square_zero) ** 2 > 2**22:
+        raise TooLargeForExhaustive(
+            f"{len(square_zero)}^2 square-zero pairs exceed the pair bound 2^22"
+        )
+    return _p1_on_pairs(square_zero, g)
+
+
 def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
               samples: int = 2000, seed: int = 0) -> CheckResult:
     """With h = T*g(T): does h(bacr) = 0 for all a^2 = 0, bc = 0, and all r?
 
     Precondition: the algebra passes the square-zero vanishing check for g;
     an inconclusive precondition makes the check inconclusive too, as does a
-    sampled run that keeps no tuple.
+    sampled run that keeps no tuple.  Exhaustive mode builds one element
+    table for the precondition and the chain scan.
     """
-    if g.is_zero:
-        raise ZeroPolynomial("the vanishing property is stated for nonzero polynomials")
-    p1 = p1_check(algebra, g, mode=mode, samples=samples, seed=seed)
-    if p1.holds is None:
-        return CheckResult(holds=None, checked=0)
+    _check_poly(algebra, g, mode)
+    check_count("samples", samples)
+    if mode == "exhaustive":
+        table = ElementTable(algebra)
+        p1 = _p1_on_table(table, g)
+    else:
+        p1 = p1_check(algebra, g, mode=mode, samples=samples, seed=seed)
+        if p1.holds is None:
+            return CheckResult(holds=None, checked=0)
     if not p1.holds:
         raise InvalidParameter(
             "precondition violated: the algebra fails the square-zero vanishing "
@@ -968,7 +1020,6 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
         )
     h = UniPoly.T(algebra.field) * g
     if mode == "exhaustive":
-        table = ElementTable(algebra)
         sq0 = table.square_zero_indices()
         hvals = table.poly_values(h)
         n = table.n
@@ -999,8 +1050,6 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
                         },
                     )
         return CheckResult(holds=True, checked=checked)
-    if mode != "sampled":
-        raise InvalidParameter(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):

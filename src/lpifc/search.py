@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterator, Sequence
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_count
 from .exactalg import Field, scalar_mat_is_zero
 from .fcrep import UnitPair, eval_laurent, eval_word, table_leading_term, unit_pair
 from .laurent import LaurentPoly, max_cumulus, obstruction_matrix
@@ -240,6 +240,7 @@ def support3_campaign(
     cumulus <= c_max, nonzero coefficients) must be falsified by the chain of
     obstruction matrices, transforms, and direct evaluations.  Survivors are
     reported as failures; none are expected."""
+    check_count("coeff_samples", coeff_samples)
     start = time.perf_counter()
     if fields is None:
         fields = [Field(2), Field(3), Field(0)]
@@ -293,6 +294,7 @@ def cprime_bound_campaign(
     """Alternate-pair degree bound: deg of the image is at most twice the
     total exponent weight, for every word of weight <= c_max and for sampled
     polynomials supported on them."""
+    check_count("samples", samples)
     start = time.perf_counter()
     if field is None:
         field = Field(0)

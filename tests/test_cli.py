@@ -17,7 +17,10 @@ from lpifc.cli import main
 # before the grammars were folded into `parsing.parse_terms`. The `support3`,
 # `cprime-bound`, `grpalg` and `standard-poly` entries (with stderr) were
 # recorded with the separate raw-coefficient evaluation kernel (commit
-# 5f57f23) before `UniPoly`/`Mat2Poly` took over its arithmetic.
+# 5f57f23) before `UniPoly`/`Mat2Poly` took over its arithmetic. The entries
+# for negative sample and trial counts, `standard-poly --samples 0`, `--k 0`
+# and malformed `--elements` were recorded once those cases became usage
+# errors (exit 2) or an inconclusive verdict.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]
@@ -197,6 +200,18 @@ def test_parse_error_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     code, _, _ = run(capsys, "grpalg", "--field", "2")
     assert code == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    from lpifc import cli
+
+    assert cli._parser() is cli._parser()
+    p1 = ("p1", "--algebra", "sqzero1", "--field", "2", "--g", "T^2")
+    _, record, _ = run_json(capsys, *p1, "--mode", "sampled", "--samples", "3")
+    assert record["mode"] == "sampled"
+    # an option given in one call does not leak into the next
+    _, record, _ = run_json(capsys, *p1)
+    assert record["mode"] == "exhaustive"
 
 
 def test_json_byte_identical_reruns(capsys):

@@ -1,10 +1,14 @@
 """Groups, group algebras, structure-constant algebras, unit arithmetic,
 falsification, standard polynomials, and the vanishing checks."""
 
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpifc.errors import (
     ArityMismatch,
@@ -16,6 +20,7 @@ from lpifc.errors import (
 )
 from lpifc.exactalg import Field, UniPoly
 from lpifc.grpalg import (
+    ElementTable,
     FinAlgebra,
     FiniteGroup,
     bac_check,
@@ -411,3 +416,182 @@ def test_p1_exhaustive_falls_back_without_index_tables():
     # elements are closed under sums and products of two of them can be
     # nonzero: T does not vanish
     assert result.checked > 0
+
+
+# -- the plain-number product against FieldElem sums over sc ---------------------
+
+
+def _sc_product(algebra, u, v):
+    """e_i * e_j = sc[i][j], extended bilinearly with FieldElem arithmetic."""
+    field = algebra.field
+    out = [field.zero] * algebra.dim
+    for i, ui in enumerate(map(field, u)):
+        for j, vj in enumerate(map(field, v)):
+            if ui and vj:
+                for k, s in enumerate(algebra.sc[i][j]):
+                    out[k] = out[k] + ui * vj * s
+    return tuple(out)
+
+
+F5 = Field(5)
+
+TABLE_ALGEBRAS = {
+    "F2[S3]": lambda: group_algebra(symmetric_group(3), F2),
+    "F3[C4]": lambda: group_algebra(cyclic_group(4), F3),
+    "F3[C5]": lambda: group_algebra(cyclic_group(5), F3),
+    "M2(F2)": lambda: matrix2_algebra(F2),
+    "M2(F3)": lambda: matrix2_algebra(F3),
+    "sqzero1/F5": lambda: square_zero_algebra(F5, 1),
+    "sqzero2/F3": lambda: square_zero_algebra(F3, 2),
+    "F2[Q8]": lambda: group_algebra(quaternion_group(), F2),
+    "F2[D3]": lambda: group_algebra(dihedral_group(3), F2),
+    "F3[C2xC2]": lambda: group_algebra(build_group("cyclic:2xcyclic:2"), F3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_ALGEBRAS))
+def test_element_table_matches_sc_sums(name):
+    A = TABLE_ALGEBRAS[name]()
+    table = ElementTable(A)
+    p, d = A.field.p, A.dim
+    assert table.vectors == list(itertools.product(range(p), repeat=d))
+    assert table.elem(table.zero_idx) == A.zero() and table.elem(table.one_idx) == A.one()
+    coeffs = [table.elem(i).coeffs for i in range(table.n)]
+    for i in range(table.n):
+        assert coeffs[table.neg[i]] == tuple(-c for c in coeffs[i])
+    # every pair among the basis, the unity and 40 seeded elements (all of
+    # them in the small tables)
+    rng = random.Random(name)
+    sample = set(rng.sample(range(table.n), min(table.n, 40)))
+    sample |= {table.index[A._basis_raw(k)] for k in range(d)} | {table.one_idx}
+    for i, j in itertools.product(sorted(sample), repeat=2):
+        u, v = coeffs[i], coeffs[j]
+        assert coeffs[table.mul[i, j]] == _sc_product(A, u, v), (i, j)
+        assert coeffs[table.add[i, j]] == tuple(a + b for a, b in zip(u, v)), (i, j)
+
+
+def _fraction_algebra_file(tmp_path):
+    """K[x]/(x^3 - 3/4*x^2 + 2/3*x - 1/2) with the basis 1, x, x^2: every
+    power x^(i+j) reduces with fractional structure constants."""
+    rel = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))  # x^3 = rel . (1, x, x^2)
+    powers = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    while len(powers) < 5:
+        a, b, c = powers[-1]
+        powers.append((c * rel[0], a + c * rel[1], b + c * rel[2]))
+    lines = ["algebra", "dim 3", "label 0 1", "label 1 x", "label 2 x^2", "unity 1 0 0"]
+    for i in range(3):
+        for j in range(3):
+            for k, s in enumerate(powers[i + j]):
+                if s:
+                    s = Fraction(s)
+                    lines.append(f"sc {i} {j} {k} {s.numerator}/{s.denominator}")
+    path = tmp_path / "cubic.alg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+def test_mul_vec_matches_sc_sums_on_fractional_constants(tmp_path, field):
+    A = load_algebra(str(_fraction_algebra_file(tmp_path)), field)
+    assert any(s.v != int(s.v) for row in A.sc for vec in row for s in vec) or field.p
+    rng = random.Random(7)
+    for _ in range(60):
+        u = [field.random(rng) for _ in range(3)]
+        v = [field.random(rng) for _ in range(3)]
+        product = A.mul_vec(u, v)
+        assert product == _sc_product(A, u, v)
+        assert all(isinstance(c.v, Fraction) for c in product) or field.p
+        assert (A.elem(u) * A.elem(v)).coeffs == product
+        # column j of the left-multiplication matrix is u * e_j
+        lmat = A.left_mult_matrix(u)
+        for j in range(3):
+            assert tuple(row[j] for row in lmat) == _sc_product(A, u, A.basis(j).coeffs)
+
+
+def test_bac_check_builds_one_table(monkeypatch):
+    import lpifc.grpalg as grpalg_mod
+
+    builds = []
+
+    class CountingTable(ElementTable):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(grpalg_mod, "ElementTable", CountingTable)
+    assert bac_check(square_zero_algebra(F2, 2), UniPoly.parse("T^2", F2)).holds
+    assert len(builds) == 1
+
+
+def test_negative_counts_are_rejected():
+    A, g = square_zero_algebra(F2, 1), UniPoly.parse("T^2", F2)
+    for check in (p1_check, bac_check):
+        with pytest.raises(InvalidParameter, match="samples must be non-negative, got -1"):
+            check(A, g, mode="sampled", samples=-1)
+    with pytest.raises(InvalidParameter, match="got -2"):
+        standard_poly_sampled(A, 2, samples=-2)
+    with pytest.raises(InvalidParameter, match="trials must be non-negative, got -3"):
+        falsify_lpi(parse_laurent("X - 1", F2), A, trials=-3)
+    with pytest.raises(InvalidParameter, match="k >= 1"):
+        standard_poly_exhaustive(A, k=0)
+
+
+def test_standard_poly_with_no_samples_is_inconclusive():
+    result = standard_poly_sampled(matrix2_algebra(F2), 2, samples=0)
+    assert (result.holds, result.checked, result.witness) == (None, 0, None)
+
+
+# -- ring laws of AlgebraElem over Q and F_p -------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+RING_ALGEBRAS = [
+    build(field)
+    for field in (Q, F2, F3, F5)
+    for build in (
+        lambda f: group_algebra(symmetric_group(3), f),
+        lambda f: group_algebra(cyclic_group(4), f),
+        matrix2_algebra,
+        lambda f: square_zero_algebra(f, 2),
+    )
+]
+
+
+def _elements(algebra):
+    p = algebra.field.p
+    coeff = (st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)) if p == 0
+             else st.integers(-p, 2 * p))
+    return st.lists(coeff, min_size=algebra.dim, max_size=algebra.dim).map(algebra.elem)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(RING_ALGEBRAS).flatmap(
+    lambda A: st.tuples(_elements(A), _elements(A), _elements(A))))
+def test_algebra_elem_ring_laws(triple):
+    a, b, c = triple
+    A = a.algebra
+    one = A.one()
+    for lhs, rhs in (
+        ((a * b) * c, a * (b * c)),
+        (a * (b + c), a * b + a * c),
+        ((a + b) * c, a * c + b * c),
+        (one * a, a),
+        (a * one, a),
+        (a + b, b + a),
+        (a - b, -(b - a)),
+        (a ** 3, a * a * a),
+    ):
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)
+    assert (a - a).is_zero and a - a == A.zero()
+    if a.is_unit():
+        inv = a.inverse()
+        assert a * inv == one == inv * a
+    # coefficients are field elements (Fractions over Q) and respell to equals
+    for x in (a, a * b, a - a, a.scale(3)):
+        assert all(c.field == A.field for c in x.coeffs)
+        assert all(isinstance(c.v, Fraction) for c in x.coeffs) or A.field.p
+        assert x.key() == tuple(c.v for c in x.coeffs)
+        respelled = A.elem([c.v + A.field.p for c in x.coeffs])
+        assert respelled == x and hash(respelled) == hash(x)
+        assert hash(x) == hash((id(A), x.key()))
