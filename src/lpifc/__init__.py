@@ -3,7 +3,7 @@ unit groups, built around the 2x2 polynomial-matrix representation of the
 relative free algebra on two square-zero generators."""
 
 from .exactalg import Field, FieldElem, Mat2Poly, UniPoly
-from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, parse_laurent, reduce_to_two_vars, transform
+from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, parse_laurent, reduce_to_two_vars
 from .words import (
     CUMULUS_ONE,
     Letter,
@@ -30,7 +30,6 @@ __all__ = [
     "parse_laurent",
     "max_cumulus",
     "obstruction_matrix",
-    "transform",
     "reduce_to_two_vars",
 ]
 

@@ -209,16 +209,18 @@ class FieldElem:
         return not self.is_zero
 
     def __eq__(self, other) -> bool:
+        """Elements of one field compare by value.  Over Q an element also
+        equals the int or Fraction of the same value, and hashes like it.
+        Over F_p it equals no raw number: 3 and 8 would both have to equal
+        3 in F5, and no hash can agree with both."""
+        if isinstance(other, FieldElem):
+            return other.field == self.field and other.v == self.v
         if isinstance(other, (int, Fraction)):
-            other = self.field(other)
-        return (
-            isinstance(other, FieldElem)
-            and other.field == self.field
-            and other.v == self.v
-        )
+            return self.field.p == 0 and self.v == other
+        return False
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.v))
+        return hash(self.v) if self.field.p == 0 else hash((self.field.p, self.v))
 
     def __str__(self) -> str:
         return str(self.v)
@@ -451,14 +453,6 @@ def scalar_mat(field: Field, rows) -> ScalarMat:
 
 def scalar_mat_is_zero(m: ScalarMat) -> bool:
     return all(e.is_zero for row in m for e in row)
-
-
-def scalar_mat_add(m1: ScalarMat, m2: ScalarMat) -> ScalarMat:
-    return tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
-
-
-def scalar_mat_scale(c: FieldElem, m: ScalarMat) -> ScalarMat:
-    return tuple(tuple(c * e for e in row) for row in m)
 
 
 def render_scalar_mat(m: ScalarMat) -> list[list[str]]:

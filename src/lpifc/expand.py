@@ -115,9 +115,9 @@ class NCPoly:
         for mon in mons:
             c = self.terms[mon]
             body = "*".join(names[v] for v in mon) if mon else "1"
-            if mon and c == 1:
+            if mon and c.v == 1:
                 text = body
-            elif mon and c == -1 and self.field.p == 0:
+            elif mon and c.v == -1 and self.field.p == 0:
                 text = f"-{body}"
             elif mon:
                 text = f"{c}*{body}"

@@ -1,8 +1,9 @@
 """The faithful representation of the square-zero relative free algebra
 K[alpha, beta : alpha^2 = beta^2 = 0] into 2x2 polynomial matrices, and
 everything built on top of it: unit pairs, word/Laurent evaluation, the
-leading-term table, the L-ideal membership test, the conjugation linear
-system, and witness-polynomial extraction.
+L-ideal membership test, the conjugation linear system, and
+witness-polynomial extraction.  The leading-term table that the evaluation
+of a word obeys lives in :mod:`lpifc.laurent`.
 
 The representation sends alpha to e12 and beta to T*e21.  Its image is
 exactly the set of matrices [[x+T*A, B], [T*C, x+T*D]] with x in K and
@@ -17,18 +18,17 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     DecompositionFailure,
     InternalError,
-    InvalidLetter,
     InvalidParameter,
     NoSigmaTau,
     ParseError,
     StillInL,
     ZeroPolynomial,
 )
-from .exactalg import Field, FieldElem, Mat2Poly, ScalarMat, UniPoly, scalar_mat
+from .exactalg import Field, FieldElem, Mat2Poly, UniPoly
 from .laurent import LaurentPoly
 from .linalg import nullspace, rank
 from .parsing import TokenStream, parse_terms, sparse_sum
-from .words import Letter, Word
+from .words import Word
 
 # -- the representation ----------------------------------------------------
 
@@ -246,34 +246,6 @@ def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
     for w, c in f.terms.items():
         out = out + up._image(w).scale(c)
     return out
-
-
-_TABLE_ENTRIES = {
-    # (beginning group, end group) -> integer entry grid
-    (0, 0): ((1, 0), (0, 0)),  # e11
-    (0, 1): ((0, 1), (0, 0)),  # e12
-    (0, 2): ((1, 1), (0, 0)),  # e11+e12
-    (1, 0): ((0, 0), (1, 0)),  # e21
-    (1, 1): ((0, 0), (0, 1)),  # e22
-    (1, 2): ((0, 0), (1, 1)),  # e21+e22
-    (2, 0): ((-1, 0), (1, 0)),  # e21-e11
-    (2, 1): ((0, -1), (0, 1)),  # e22-e12
-    (2, 2): ((-1, -1), (1, 1)),  # e21+e22-e11-e12
-}
-
-
-def table_leading_term(b: Letter, e: Letter, field: Field) -> ScalarMat:
-    """The sign-stripped leading coefficient of the primary-pair image of a
-    word, keyed by its beginning and end letters.
-
-    The full leading term of a word w of cumulus c is
-    T^{2c} * sgn(w) * table_leading_term(B(w), E(w)).
-    """
-    if b == Letter.ONE or e == Letter.ONE:
-        raise InvalidLetter("the identity marker has no table row")
-    row = 0 if b in (Letter.X, Letter.Y) else (1 if b == Letter.XINV else 2)
-    col = 0 if e == Letter.X else (2 if e == Letter.Y else 1)
-    return scalar_mat(field, _TABLE_ENTRIES[(row, col)])
 
 
 # -- faithfulness at desk scale ---------------------------------------------

@@ -5,6 +5,12 @@ the support is the set of words with nonzero coefficient.  For two-variable
 polynomials this module computes the maximal cumulus over the support and the
 2x2 obstruction matrix whose nonvanishing certifies that the polynomial is
 not an identity for the units of the square-zero relative free algebra.
+
+It holds the one integer leading-term table, keyed by the beginning and end
+letters of a word: a word w of cumulus C has a primary-pair image of degree
+2C with leading coefficient sgn(w) * table(B(w), E(w)).  The obstruction
+matrix sums those coefficients on plain numbers, and the table sweep in
+:mod:`lpifc.search` checks them against the evaluation.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .errors import InvalidParameter, ParseError, ZeroPolynomial
-from .exactalg import Field, FieldElem, ScalarMat
+from .errors import InvalidLetter, InvalidParameter, ParseError, ZeroPolynomial
+from .exactalg import Field, FieldElem, ScalarMat, scalar_mat
 from .parsing import TokenStream, parse_terms, read_exponent, sparse_sum
 from .words import (
     Letter,
@@ -112,9 +118,9 @@ class LaurentPoly:
             c = self.terms[w]
             if w.is_identity:
                 body = str(c)
-            elif c == 1:
+            elif c.v == 1:
                 body = w.render()
-            elif c == -1 and self.field.p == 0:
+            elif c.v == -1 and self.field.p == 0:
                 body = f"-{w.render()}"
             else:
                 body = f"{c}*{w.render()}"
@@ -183,79 +189,61 @@ def max_cumulus(f: LaurentPoly) -> int:
     return max(word_invariants(w).C for w in f.terms)
 
 
-_LETTERS = (Letter.X, Letter.XINV, Letter.Y, Letter.YINV)
+# The leading-term table: the sign-stripped T^(2C) coefficient of the
+# primary-pair image of a word of cumulus C >= 1, keyed by its beginning and
+# end letters (B, E).  Each entry is the rank-one integer matrix u(B) v(E)^T.
+_BEGIN_ROW = {Letter.X: (1, 0), Letter.Y: (1, 0), Letter.XINV: (0, 1), Letter.YINV: (-1, 1)}
+_END_COL = {Letter.X: (1, 0), Letter.XINV: (0, 1), Letter.YINV: (0, 1), Letter.Y: (1, 1)}
+_LEADING_TABLE = {
+    (b, e): ((u0 * v0, u0 * v1), (u1 * v0, u1 * v1))
+    for b, (u0, u1) in _BEGIN_ROW.items()
+    for e, (v0, v1) in _END_COL.items()
+}
 
 
-def partial_sums(f: LaurentPoly) -> dict[tuple[Letter, Letter], FieldElem]:
-    """The sixteen signed partial sums over max-cumulus support words, keyed
-    by (beginning, end).  Constant polynomials give all-zero sums (the
-    identity word carries no beginning/end letter)."""
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no partial sums")
-    c = max_cumulus(f)
-    sums = {(b, e): f.field.zero for b in _LETTERS for e in _LETTERS}
-    for w, coeff in f.terms.items():
-        invs = word_invariants(w)
-        if invs.C != c or w.is_identity:
-            continue
-        key = (invs.B, invs.E)
-        sums[key] = sums[key] + f.field(invs.sgn) * coeff
-    return sums
+def table_leading_term(b: Letter, e: Letter, field: Field) -> ScalarMat:
+    """The sign-stripped leading coefficient of the primary-pair image of a
+    word, keyed by its beginning and end letters.
+
+    The full leading term of a word w of cumulus c is
+    T^{2c} * sgn(w) * table_leading_term(B(w), E(w)).
+    """
+    if b == Letter.ONE or e == Letter.ONE:
+        raise InvalidLetter("the identity marker has no table row")
+    return scalar_mat(field, _LEADING_TABLE[b, e])
 
 
 def obstruction_matrix(f: LaurentPoly) -> ScalarMat:
-    """The 2x2 obstruction matrix assembled from the sixteen partial sums.
+    """The 2x2 obstruction matrix: the sum of sgn(w) * c * table(B(w), E(w))
+    over the terms c*w of f whose word w has the maximal cumulus.
 
-    A nonzero result certifies that f is not an identity for the units of
-    the square-zero relative free algebra; a zero result is inconclusive.
+    For C >= 1 it is the T^(2C) coefficient of f evaluated at the primary
+    unit pair.  A nonzero result certifies that f is not an identity for the
+    units of the square-zero relative free algebra; a zero result is
+    inconclusive.  A constant polynomial gives the zero matrix (the identity
+    word has no table entry).
     """
     if f.nvars > 2:
         raise InvalidParameter("the obstruction matrix is defined for two-variable polynomials")
-    s = partial_sums(f)
-    L = Letter
-    f1 = s[L.X, L.X] + s[L.X, L.Y] + s[L.Y, L.X] + s[L.Y, L.Y] - s[L.YINV, L.X] - s[L.YINV, L.Y]
-    f2 = (
-        s[L.X, L.XINV]
-        + s[L.X, L.Y]
-        + s[L.X, L.YINV]
-        + s[L.Y, L.XINV]
-        + s[L.Y, L.Y]
-        + s[L.Y, L.YINV]
-        - s[L.YINV, L.XINV]
-        - s[L.YINV, L.Y]
-        - s[L.YINV, L.YINV]
-    )
-    f3 = s[L.XINV, L.X] + s[L.XINV, L.Y] + s[L.YINV, L.X] + s[L.YINV, L.Y]
-    f4 = (
-        s[L.XINV, L.XINV]
-        + s[L.XINV, L.Y]
-        + s[L.XINV, L.YINV]
-        + s[L.YINV, L.XINV]
-        + s[L.YINV, L.Y]
-        + s[L.YINV, L.YINV]
-    )
-    return ((f1, f2), (f3, f4))
-
-
-def transform(f: LaurentPoly, kind: str, w: Word | None = None) -> LaurentPoly:
-    """Apply an identity-status-preserving transform.
-
-    ``kind`` is one of ``swapXY``, ``invertX``, ``leftMul``, ``rightMul``;
-    the latter two require the word argument.
-    """
-    if kind == "swapXY":
-        return f.swap_xy()
-    if kind == "invertX":
-        return f.invert_x()
-    if kind == "leftMul":
-        if w is None:
-            raise InvalidParameter("leftMul requires a word")
-        return f.left_mul(w)
-    if kind == "rightMul":
-        if w is None:
-            raise InvalidParameter("rightMul requires a word")
-        return f.right_mul(w)
-    raise InvalidParameter(f"unknown transform kind {kind!r}")
+    if f.is_zero:
+        raise ZeroPolynomial("the zero polynomial has no obstruction matrix")
+    top = 0
+    s11 = s12 = s21 = s22 = 0
+    for w, coeff in f.terms.items():
+        invs = word_invariants(w)
+        # The identity word is the only word of cumulus 0.
+        if invs.C < top or invs.C == 0:
+            continue
+        if invs.C > top:
+            top = invs.C
+            s11 = s12 = s21 = s22 = 0
+        (a, b), (c, d) = _LEADING_TABLE[invs.B, invs.E]
+        v = invs.sgn * coeff.v
+        s11 += a * v
+        s12 += b * v
+        s21 += c * v
+        s22 += d * v
+    return scalar_mat(f.field, ((s11, s12), (s21, s22)))
 
 
 def reduce_to_two_vars(f: LaurentPoly, nvars: int | None = None) -> LaurentPoly:

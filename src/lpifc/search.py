@@ -20,8 +20,8 @@ from typing import Iterator, Sequence
 
 from .errors import InvalidParameter, check_count
 from .exactalg import Field, scalar_mat_is_zero
-from .fcrep import UnitPair, eval_laurent, eval_word, table_leading_term, unit_pair
-from .laurent import LaurentPoly, max_cumulus, obstruction_matrix
+from .fcrep import UnitPair, eval_laurent, eval_word, unit_pair
+from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, table_leading_term
 from .words import (
     CUMULUS_ONE,
     Word,

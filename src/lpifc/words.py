@@ -253,14 +253,6 @@ def word_invariants(w: Word) -> WordInvariants:
     )
 
 
-def cumulus(w: Word) -> int:
-    return word_invariants(w).C
-
-
-def sgn(w: Word) -> int:
-    return word_invariants(w).sgn
-
-
 W_X = Word.generator(X_GEN)
 W_XINV = Word.generator(X_GEN, -1)
 W_Y = Word.generator(Y_GEN)

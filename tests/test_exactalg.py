@@ -66,6 +66,16 @@ def test_fields_never_mix():
         F2(1) + F3(1)
 
 
+def test_raw_number_equality_only_over_q():
+    assert Q(1) == 1 and hash(Q(1)) == hash(1)
+    assert Q.from_fraction(3, 2) == Fraction(3, 2) and hash(Q.from_fraction(3, 2)) == hash(Fraction(3, 2))
+    assert Q(1) in {1} and 1 in {Q(1)}
+    F5 = Field(5)
+    for raw in (3, 8, -2, Fraction(3)):
+        assert F5(3) != raw and raw != F5(3)
+    assert F5(3) == F5(8)
+
+
 # -- polynomials ----------------------------------------------------------------
 
 
@@ -188,13 +198,12 @@ def test_unipoly_parse_rejects_negative_degree():
 
 
 def test_scalar_mat_helpers():
-    from lpifc.exactalg import render_scalar_mat, scalar_mat_add, scalar_mat_is_zero, scalar_mat_scale
+    from lpifc.exactalg import render_scalar_mat, scalar_mat_is_zero
 
-    m = scalar_mat(Q, ((1, 0), (0, -1)))
+    m = scalar_mat(Q, ((2, 0), (0, -2)))
     assert not scalar_mat_is_zero(m)
-    doubled = scalar_mat_add(m, m)
-    assert doubled == scalar_mat_scale(Q(2), m)
-    assert render_scalar_mat(doubled) == [["2", "0"], ["0", "-2"]]
+    assert scalar_mat_is_zero(scalar_mat(Q, ((0, 0), (0, 0))))
+    assert render_scalar_mat(m) == [["2", "0"], ["0", "-2"]]
 
 
 # -- properties over Q, F2, F3 and F5 -------------------------------------------
@@ -255,6 +264,19 @@ def test_unipoly_ring_laws(polys):
     assert (f - f).is_zero and (f - f).coeffs == ()
     for p in (f, f + g, f - g, f * g, -f, f * (g + h), f - f, f.shift(2), f.shift(-1)):
         _assert_canonical(p)
+
+
+@PROPERTY_SETTINGS
+@given(fields.flatmap(lambda f: st.tuples(st.just(f), coefficients(f), coefficients(f))))
+def test_field_elem_eq_implies_equal_hash(case):
+    field, a, b = case
+    x = field(a)
+    for other in (a, b, Fraction(a), x.v, field(b), field(a) + field(b) - field(b)):
+        assert (x == other) == (other == x)
+        if x == other:
+            assert hash(x) == hash(other)
+    # over Q an element equals its own value; over F_p it equals no raw number
+    assert (x == x.v) == (field.p == 0)
 
 
 @PROPERTY_SETTINGS

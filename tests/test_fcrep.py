@@ -26,11 +26,10 @@ from lpifc.fcrep import (
     phi_eval,
     phi_images_independent,
     phi_monomial,
-    table_leading_term,
     thekey_solve,
     unit_pair,
 )
-from lpifc.laurent import LaurentPoly, parse_laurent
+from lpifc.laurent import LaurentPoly, parse_laurent, table_leading_term
 from lpifc.words import Letter, Word, parse_word, word_invariants
 
 Q = Field(0)

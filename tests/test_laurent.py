@@ -2,24 +2,30 @@
 transforms, and the many-to-two variable reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lpifc.errors import ParseError, ZeroPolynomial
 from lpifc.exactalg import Field, scalar_mat, scalar_mat_is_zero
+from lpifc.fcrep import eval_laurent, unit_pair
 from lpifc.laurent import (
     LaurentPoly,
     max_cumulus,
     obstruction_matrix,
     parse_laurent,
     reduce_to_two_vars,
-    transform,
+    table_leading_term,
 )
-from lpifc.words import Word, parse_word, word_invariants
+from lpifc.search import enum_words
+from lpifc.words import Letter, Word, parse_word, word_invariants
 
 Q = Field(0)
 F2 = Field(2)
 F3 = Field(3)
+F5 = Field(5)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -105,8 +111,6 @@ def test_obstruction_linearity_on_shared_cumulus():
 
 
 def _cumulus_pool(c_max):
-    from lpifc.search import enum_words
-
     return list(enum_words(c_max))
 
 
@@ -119,20 +123,109 @@ def test_single_max_cumulus_word_forces_nonzero_obstruction():
         assert not scalar_mat_is_zero(obstruction_matrix(f))
 
 
+# -- the paper's formula as an independent route -------------------------------------
+
+_LETTERS = (Letter.X, Letter.XINV, Letter.Y, Letter.YINV)
+
+
+def _obstruction_by_partial_sums(f):
+    """The paper's route: sixteen signed partial sums over the words of
+    maximal cumulus, keyed by (beginning, end), combined into f1..f4."""
+    top = max_cumulus(f)
+    s = {(b, e): f.field.zero for b in _LETTERS for e in _LETTERS}
+    for w, coeff in f.terms.items():
+        invs = word_invariants(w)
+        if invs.C == top and not w.is_identity:
+            s[invs.B, invs.E] += f.field(invs.sgn) * coeff
+    X, XI, Y, YI = Letter.X, Letter.XINV, Letter.Y, Letter.YINV
+    f1 = s[X, X] + s[X, Y] + s[Y, X] + s[Y, Y] - s[YI, X] - s[YI, Y]
+    f2 = (
+        s[X, XI] + s[X, Y] + s[X, YI] + s[Y, XI] + s[Y, Y] + s[Y, YI]
+        - s[YI, XI] - s[YI, Y] - s[YI, YI]
+    )
+    f3 = s[XI, X] + s[XI, Y] + s[YI, X] + s[YI, Y]
+    f4 = s[XI, XI] + s[XI, Y] + s[XI, YI] + s[YI, XI] + s[YI, Y] + s[YI, YI]
+    return ((f1, f2), (f3, f4))
+
+
+_WORDS4 = [Word.identity(), *enum_words(4)]
+_PRIMARY = {field: unit_pair("primary", field) for field in (Q, F2, F3, F5)}
+
+
+def _coefficients(field):
+    if field.p == 0:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+def _polys(field):
+    terms = st.lists(st.tuples(st.sampled_from(_WORDS4), _coefficients(field)), min_size=1, max_size=6)
+    return st.tuples(st.just(field), terms.map(lambda ts: LaurentPoly(field, ts)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([Q, F2, F3, F5]).flatmap(_polys))
+def test_obstruction_matches_partial_sums_and_evaluation(args):
+    field, f = args
+    assume(not f.is_zero)
+    got = obstruction_matrix(f)
+    assert got == _obstruction_by_partial_sums(f)
+    top = max_cumulus(f)
+    if top == 0:
+        assert scalar_mat_is_zero(got)
+    else:
+        assert got == eval_laurent(f, _PRIMARY[field]).coeff_at(2 * top)
+
+
+# (B, E) -> the leading coefficient of a word of sign +1, written out per cell.
+_LITERAL_TABLE = {
+    ("X", "X"): ((1, 0), (0, 0)),
+    ("X", "X^-1"): ((0, 1), (0, 0)),
+    ("X", "Y"): ((1, 1), (0, 0)),
+    ("X", "Y^-1"): ((0, 1), (0, 0)),
+    ("Y", "X"): ((1, 0), (0, 0)),
+    ("Y", "X^-1"): ((0, 1), (0, 0)),
+    ("Y", "Y"): ((1, 1), (0, 0)),
+    ("Y", "Y^-1"): ((0, 1), (0, 0)),
+    ("X^-1", "X"): ((0, 0), (1, 0)),
+    ("X^-1", "X^-1"): ((0, 0), (0, 1)),
+    ("X^-1", "Y"): ((0, 0), (1, 1)),
+    ("X^-1", "Y^-1"): ((0, 0), (0, 1)),
+    ("Y^-1", "X"): ((-1, 0), (1, 0)),
+    ("Y^-1", "X^-1"): ((0, -1), (0, 1)),
+    ("Y^-1", "Y"): ((-1, -1), (1, 1)),
+    ("Y^-1", "Y^-1"): ((0, -1), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_LITERAL_TABLE), ids="/".join)
+def test_single_word_obstruction_per_cell(cell):
+    b, e = Letter(cell[0]), Letter(cell[1])
+    grid = _LITERAL_TABLE[cell]
+    assert table_leading_term(b, e, Q) == scalar_mat(Q, grid)
+    words = [w for w in enum_words(3) if (word_invariants(w).B, word_invariants(w).E) == (b, e)]
+    assert words
+    for w in words:
+        sgn = word_invariants(w).sgn
+        f = LaurentPoly(Q, {w: 3, Word.identity(): 1})
+        expected = scalar_mat(Q, tuple(tuple(3 * sgn * x for x in row) for row in grid))
+        assert obstruction_matrix(f) == expected
+
+
 # -- transforms ----------------------------------------------------------------------
 
 
 def test_transform_swap():
-    assert transform(parse_laurent("X*Y - Y*X", Q), "swapXY") == parse_laurent("Y*X - X*Y", Q)
+    assert parse_laurent("X*Y - Y*X", Q).swap_xy() == parse_laurent("Y*X - X*Y", Q)
 
 
 def test_transform_left_mul():
     f = parse_laurent("X + X*Y", Q)
-    assert transform(f, "leftMul", parse_word("X^-1")) == parse_laurent("1 + Y", Q)
+    assert f.left_mul(parse_word("X^-1")) == parse_laurent("1 + Y", Q)
 
 
 def test_transform_invert_x():
-    assert transform(parse_laurent("X - 1", Q), "invertX") == parse_laurent("X^-1 - 1", Q)
+    assert parse_laurent("X - 1", Q).invert_x() == parse_laurent("X^-1 - 1", Q)
 
 
 # -- variable reduction ----------------------------------------------------------------
