@@ -8,6 +8,7 @@ zero-product vanishing checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -789,6 +790,23 @@ def standard_poly(k: int, elements: Sequence[AlgebraElem]) -> AlgebraElem:
 
 ENUM_LIMIT = 2**20
 TABLE_LIMIT = 2048
+# Tuples an S_k check may examine, exhaustive or sampled.
+TUPLE_LIMIT = 2**24
+
+
+def _element_count(algebra: FinAlgebra, enum_limit: int = ENUM_LIMIT,
+                   table_limit: int = TABLE_LIMIT) -> int:
+    """p^dim, checked against the enumeration and index-table bounds before
+    anything is built."""
+    field = algebra.field
+    if not field.is_finite:
+        raise TooLargeForExhaustive("exhaustive enumeration needs a finite field")
+    count = field.order ** algebra.dim
+    if count > enum_limit:
+        raise TooLargeForExhaustive(f"{count} elements exceed the exhaustive bound {enum_limit}")
+    if count > table_limit:
+        raise TooLargeForExhaustive(f"{count} elements exceed the index-table bound {table_limit}")
+    return count
 
 
 class ElementTable:
@@ -797,26 +815,14 @@ class ElementTable:
 
     def __init__(self, algebra: FinAlgebra, enum_limit: int = ENUM_LIMIT,
                  table_limit: int = TABLE_LIMIT):
-        field = algebra.field
-        if not field.is_finite:
-            raise TooLargeForExhaustive("exhaustive enumeration needs a finite field")
-        count = field.order ** algebra.dim
-        if count > enum_limit:
-            raise TooLargeForExhaustive(
-                f"{count} elements exceed the exhaustive bound {enum_limit}"
-            )
+        self.n = n = _element_count(algebra, enum_limit, table_limit)
         self.algebra = algebra
-        p = field.order
+        p = algebra.field.order
         # Plain vectors in [0, p): already canonical for the raw product.
         self.vectors = list(itertools.product(range(p), repeat=algebra.dim))
         index = self.index = {v: i for i, v in enumerate(self.vectors)}
-        self.n = n = count
         self.zero_idx = index[(0,) * algebra.dim]
         self.one_idx = index[algebra._unity]
-        if count > table_limit:
-            raise TooLargeForExhaustive(
-                f"{count} elements exceed the index-table bound {table_limit}"
-            )
         self.add = np.zeros((n, n), dtype=np.int32)
         self.mul = np.zeros((n, n), dtype=np.int32)
         self.neg = np.zeros(n, dtype=np.int32)
@@ -853,15 +859,13 @@ class CheckResult:
 
 
 def standard_poly_exhaustive(algebra: FinAlgebra, k: int = 4,
-                             max_tuples: int = 2**24) -> CheckResult:
+                             max_tuples: int = TUPLE_LIMIT) -> CheckResult:
     """Check S_k = 0 over every k-tuple of algebra elements."""
     _check_arity(k)
-    table = ElementTable(algebra)
-    n = table.n
+    n = _element_count(algebra)
     if n**k > max_tuples:
         raise TooLargeForExhaustive(f"{n}^{k} tuples exceed the bound {max_tuples}")
-    grids = np.indices((n,) * k).reshape(k, -1).astype(np.int32)
-    return _standard_poly_on_tuples(table, k, grids)
+    return _standard_poly_scan(ElementTable(algebra), k, (n,) * k, lambda grid: grid)
 
 
 def standard_poly_sampled(algebra: FinAlgebra, k: int, samples: int, seed: int = 0) -> CheckResult:
@@ -869,10 +873,12 @@ def standard_poly_sampled(algebra: FinAlgebra, k: int, samples: int, seed: int =
     samples."""
     _check_arity(k)
     check_count("samples", samples)
+    if samples > TUPLE_LIMIT:
+        raise InvalidParameter(f"{samples} samples exceed the bound {TUPLE_LIMIT}")
     table = ElementTable(algebra)
     rng = np.random.default_rng(seed)
-    grids = rng.integers(0, table.n, size=(k, samples), dtype=np.int32)
-    return _standard_poly_on_tuples(table, k, grids)
+    draws = rng.integers(0, table.n, size=(k, samples), dtype=np.int32)
+    return _standard_poly_scan(table, k, (samples,), lambda grid: draws[:, grid[0]])
 
 
 def _check_arity(k: int) -> None:
@@ -880,26 +886,63 @@ def _check_arity(k: int) -> None:
         raise InvalidParameter(f"the standard polynomial S_k needs k >= 1, got {k}")
 
 
-def _standard_poly_on_tuples(table: ElementTable, k: int, grids: np.ndarray) -> CheckResult:
-    if grids.shape[1] == 0:
-        return CheckResult(holds=None, checked=0)
-    acc = np.full(grids.shape[1], table.zero_idx, dtype=np.int32)
-    for perm in itertools.permutations(range(k)):
-        prod = grids[perm[0]]
-        for t in perm[1:]:
-            prod = table.mul[prod, grids[t]]
-        if _permutation_sign(perm) < 0:
-            prod = table.neg[prod]
-        acc = table.add[acc, prod]
-    bad = np.nonzero(acc != table.zero_idx)[0]
-    if bad.size == 0:
-        return CheckResult(holds=True, checked=grids.shape[1])
-    first = int(bad[0])
-    witness = {
-        "elements": [table.elem(int(grids[t][first])).render() for t in range(k)],
-        "value": table.elem(int(acc[first])).render(),
-    }
-    return CheckResult(holds=False, checked=grids.shape[1], witness=witness)
+# Tuples per numpy step of a scan; no array of a scan grows with the tuple count.
+SCAN_CHUNK = 4096
+
+
+def _scan(table: ElementTable, shape: tuple[int, ...], evaluate, witness) -> CheckResult:
+    """Evaluate every index tuple of ``shape`` in row-major order, at most
+    SCAN_CHUNK tuples per ``evaluate`` call (an int32 grid (len(shape), m) to
+    m element indices).  The first tuple with a nonzero value is the witness,
+    ``witness(tuple)`` plus the value; the scan still counts every tuple."""
+    cut = len(shape)  # the axes from cut on fit in one chunk
+    while cut > 1 and math.prod(shape[cut - 1:]) <= SCAN_CHUNK:
+        cut -= 1
+    tail = math.prod(shape[cut:])
+    per = max(SCAN_CHUNK // tail, 1)  # leading index tuples per chunk
+    block = np.empty((len(shape), per, tail), dtype=np.int32)
+    block[cut:] = np.indices(shape[cut:], dtype=np.int32).reshape(-1, 1, tail)
+    heads = math.prod(shape[:cut])
+    checked, first = 0, None
+    for start in range(0, heads, per):
+        m = min(per, heads - start)
+        lead = np.unravel_index(np.arange(start, start + m), shape[:cut])
+        block[:cut, :m] = np.stack(lead)[:, :, None]
+        grid = block[:, :m].reshape(len(shape), -1)
+        values = evaluate(grid)
+        checked += values.size
+        if first is None and (bad := np.flatnonzero(values != table.zero_idx)).size:
+            first = tuple(int(i) for i in grid[:, bad[0]]), int(values[bad[0]])
+    if first is None:
+        return CheckResult(holds=True if checked else None, checked=checked)
+    where, value = first
+    return CheckResult(holds=False, checked=checked,
+                       witness={**witness(where), "value": table.elem(value).render()})
+
+
+def _standard_poly_scan(table: ElementTable, k: int, shape: tuple[int, ...], pick) -> CheckResult:
+    """S_k over the tuples ``pick`` selects from each chunk of ``shape``."""
+    sub = table.add.take(table.neg, axis=1)  # sub[x, y] is the index of x - y
+    # In lexicographic order each permutation shares a prefix with the one
+    # before it, and so does its product.
+    perms = list(itertools.permutations(range(k)))
+    steps = [(perm, next((i for i, (x, y) in enumerate(zip(perm, prev)) if x != y), 0),
+              table.add if _permutation_sign(perm) > 0 else sub)
+             for perm, prev in zip(perms, [()] + perms)]
+
+    def evaluate(grid: np.ndarray) -> np.ndarray:
+        tuples = pick(grid)
+        acc, prods = None, []  # prods[i]: the product of the first i + 1 factors
+        for perm, shared, add in steps:
+            del prods[shared:]
+            for t in perm[len(prods):]:
+                prods.append(table.mul[prods[-1], tuples[t]] if prods else tuples[t])
+            # The first permutation is the identity, an even one.
+            acc = prods[-1] if acc is None else add[acc, prods[-1]]
+        return acc
+
+    return _scan(table, shape, evaluate, lambda where: {"elements": [
+        table.elem(int(i)).render() for i in pick(np.array(where)[:, None])[:, 0]]})
 
 
 # -- square-zero and zero-product vanishing checks -----------------------------
@@ -944,18 +987,9 @@ def _p1_on_table(table: ElementTable, g: UniPoly) -> CheckResult:
     """The exhaustive square-zero vanishing scan on an element table."""
     sq0 = table.square_zero_indices()
     gvals = table.poly_values(g)
-    vals = gvals[table.mul[np.ix_(sq0, sq0)]]
-    bad = np.argwhere(vals != table.zero_idx)
-    checked = int(sq0.size) ** 2
-    if bad.size == 0:
-        return CheckResult(holds=True, checked=checked)
-    i, j = int(bad[0][0]), int(bad[0][1])
-    witness = {
-        "a": table.elem(int(sq0[i])).render(),
-        "b": table.elem(int(sq0[j])).render(),
-        "value": table.elem(int(vals[i, j])).render(),
-    }
-    return CheckResult(holds=False, checked=checked, witness=witness)
+    return _scan(table, (sq0.size,) * 2, lambda ij: gvals[table.mul[sq0[ij[0]], sq0[ij[1]]]],
+                 lambda ij: {"a": table.elem(int(sq0[ij[0]])).render(),
+                             "b": table.elem(int(sq0[ij[1]])).render()})
 
 
 def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly) -> CheckResult:
@@ -977,15 +1011,10 @@ def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly) -> CheckResult:
 def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
     """Exhaustive scan without index tables: enumerate all elements, filter
     the square-zero ones, test every pair with exact arithmetic."""
-    field = algebra.field
-    if not field.is_finite:
-        raise TooLargeForExhaustive("exhaustive enumeration needs a finite field")
-    count = field.order ** algebra.dim
-    if count > ENUM_LIMIT:
-        raise TooLargeForExhaustive(f"{count} elements exceed the exhaustive bound {ENUM_LIMIT}")
+    _element_count(algebra, table_limit=ENUM_LIMIT)  # no index tables here
     square_zero = [
         AlgebraElem._new(algebra, v)
-        for v in itertools.product(range(field.order), repeat=algebra.dim)
+        for v in itertools.product(range(algebra.field.order), repeat=algebra.dim)
         if not any(algebra._mul_raw(v, v))
     ]
     if len(square_zero) ** 2 > 2**22:

@@ -20,7 +20,12 @@ from lpifc.cli import main
 # 5f57f23) before `UniPoly`/`Mat2Poly` took over its arithmetic. The entries
 # for negative sample and trial counts, `standard-poly --samples 0`, `--k 0`
 # and malformed `--elements` were recorded once those cases became usage
-# errors (exit 2) or an inconclusive verdict.
+# errors (exit 2) or an inconclusive verdict. The `standard-poly` entries for
+# `group:sym:3 --field 2 --k 3`, `m2 --field 3 --k 3`, the sampled
+# `m2 --field 3 --k 4 --samples 50000 --seed 7` and the `group:cyclic:6
+# --field 3 --k 3` rejection were recorded at commit ddba5ab, where S_k built
+# every tuple up front, before the chunked scan; the `--samples 16777217`
+# rejection was recorded once the sampled count became bounded.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]

@@ -1,11 +1,14 @@
 """Groups, group algebras, structure-constant algebras, unit arithmetic,
 falsification, standard polynomials, and the vanishing checks."""
 
+import functools
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from lpifc.errors import (
     TooLargeForExhaustive,
     ZeroPolynomial,
 )
+import lpifc.grpalg as grpalg_mod
 from lpifc.exactalg import Field, UniPoly
 from lpifc.grpalg import (
     ElementTable,
@@ -509,8 +513,6 @@ def test_mul_vec_matches_sc_sums_on_fractional_constants(tmp_path, field):
 
 
 def test_bac_check_builds_one_table(monkeypatch):
-    import lpifc.grpalg as grpalg_mod
-
     builds = []
 
     class CountingTable(ElementTable):
@@ -539,6 +541,175 @@ def test_negative_counts_are_rejected():
 def test_standard_poly_with_no_samples_is_inconclusive():
     result = standard_poly_sampled(matrix2_algebra(F2), 2, samples=0)
     assert (result.holds, result.checked, result.witness) == (None, 0, None)
+
+
+# -- the chunked tuple scan against an unchunked route ----------------------------
+
+
+def _unchunked_standard_poly(table, k, grids):
+    """S_k over the columns of ``grids`` in one numpy pass per permutation."""
+    acc = np.full(grids.shape[1], table.zero_idx, dtype=np.int32)
+    for perm in itertools.permutations(range(k)):
+        prod = grids[perm[0]]
+        for t in perm[1:]:
+            prod = table.mul[prod, grids[t]]
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            prod = table.neg[prod]
+        acc = table.add[acc, prod]
+    bad = np.nonzero(acc != table.zero_idx)[0]
+    if bad.size == 0:
+        return (True, grids.shape[1], None)
+    first = int(bad[0])
+    witness = {
+        "elements": [table.elem(int(grids[t][first])).render() for t in range(k)],
+        "value": table.elem(int(acc[first])).render(),
+    }
+    return (False, grids.shape[1], witness)
+
+
+def _unchunked_p1(table, g):
+    sq0 = table.square_zero_indices()
+    vals = table.poly_values(g)[table.mul[np.ix_(sq0, sq0)]]
+    bad = np.argwhere(vals != table.zero_idx)
+    if bad.size == 0:
+        return (True, sq0.size**2, None)
+    i, j = int(bad[0][0]), int(bad[0][1])
+    witness = {
+        "a": table.elem(int(sq0[i])).render(),
+        "b": table.elem(int(sq0[j])).render(),
+        "value": table.elem(int(vals[i, j])).render(),
+    }
+    return (False, sq0.size**2, witness)
+
+
+SCAN_ALGEBRAS = {
+    "F2[S3]": lambda: group_algebra(symmetric_group(3), F2),
+    "M2(F2)": lambda: matrix2_algebra(F2),
+    "M2(F3)": lambda: matrix2_algebra(F3),
+    "sqzero1/F3": lambda: square_zero_algebra(F3, 1),
+    "sqzero2/F3": lambda: square_zero_algebra(F3, 2),
+}
+SCAN_CASES = [
+    # (algebra, check, k or g, samples); samples None means exhaustive.
+    ("F2[S3]", "S_k", 2, None),
+    ("F2[S3]", "S_k", 3, None),
+    ("M2(F2)", "S_k", 3, None),
+    ("M2(F2)", "S_k", 4, None),
+    ("M2(F3)", "S_k", 2, None),
+    ("M2(F3)", "S_k", 3, None),
+    ("sqzero1/F3", "S_k", 2, None),
+    ("sqzero1/F3", "S_k", 3, None),
+    # 10001 = 2 * 4096 + 1809 = 1428 * 7 + 5 sampled tuples.
+    ("M2(F3)", "S_k", 4, 10001),
+    ("F2[S3]", "S_k", 3, 10001),
+    ("M2(F2)", "p1", "T", None),
+    ("M2(F3)", "p1", "T", None),
+    ("M2(F3)", "p1", "T^2", None),
+    ("sqzero2/F3", "p1", "T^2", None),
+    ("sqzero2/F3", "p1", "T + 1", None),
+]
+
+
+@functools.cache
+def _scan_reference(name, check, arg, samples):
+    algebra = SCAN_ALGEBRAS[name]()
+    table = ElementTable(algebra)
+    if check == "p1":
+        return _unchunked_p1(table, UniPoly.parse(arg, algebra.field))
+    if samples is None:
+        grids = np.indices((table.n,) * arg).reshape(arg, -1).astype(np.int32)
+    else:
+        rng = np.random.default_rng(11)
+        grids = rng.integers(0, table.n, size=(arg, samples), dtype=np.int32)
+    return _unchunked_standard_poly(table, arg, grids)
+
+
+def _scan_result(name, check, arg, samples):
+    algebra = SCAN_ALGEBRAS[name]()
+    if check == "p1":
+        result = p1_check(algebra, UniPoly.parse(arg, algebra.field))
+    elif samples is None:
+        result = standard_poly_exhaustive(algebra, arg)
+    else:
+        result = standard_poly_sampled(algebra, arg, samples, seed=11)
+    return (result.holds, result.checked, result.witness)
+
+
+def _scan_params():
+    """Each case with chunks of 1, 7, 1000 and SCAN_CHUNK tuples, where the
+    scan takes at most 2^12 numpy steps.  Chunks of 1000 split every
+    exhaustive case into several leading index tuples per chunk over a tail
+    of one or more axes, with a ragged last chunk."""
+    for case in SCAN_CASES:
+        name, check, arg, samples = case
+        algebra = SCAN_ALGEBRAS[name]()
+        count = 0  # the p1 scans here have at most 81 pairs
+        if check == "S_k":
+            count = samples or (algebra.field.order ** algebra.dim) ** arg
+        for chunk in (1, 7, 1000, grpalg_mod.SCAN_CHUNK):
+            if count <= 2**12 * chunk:
+                yield pytest.param(case, chunk, id=f"{' '.join(map(str, case))} chunk{chunk}")
+
+
+@pytest.mark.parametrize("case, chunk", _scan_params())
+def test_chunked_scan_matches_unchunked_route(monkeypatch, case, chunk):
+    expected = _scan_reference(*case)
+    monkeypatch.setattr(grpalg_mod, "SCAN_CHUNK", chunk)
+    assert _scan_result(*case) == expected
+
+
+def test_scan_cases_both_hold_and_fail():
+    verdicts = {_scan_reference(*case)[0] for case in SCAN_CASES}
+    assert verdicts == {True, False}
+
+
+def test_exhaustive_standard_poly_allocates_no_tuple_grid():
+    algebra = group_algebra(symmetric_group(3), F2)
+    standard_poly_exhaustive(algebra, 3)  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        result = standard_poly_exhaustive(algebra, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # All 64^3 tuples as int32 rows alone would take 3 MB.
+    assert (result.holds, result.checked) == (False, 64**3)
+    assert peak < 2**20
+
+
+def _counting_tables(monkeypatch):
+    builds = []
+
+    class CountingTable(ElementTable):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(grpalg_mod, "ElementTable", CountingTable)
+    return builds
+
+
+def test_exhaustive_bounds_are_checked_before_the_table_is_built(monkeypatch):
+    builds = _counting_tables(monkeypatch)
+    with pytest.raises(TooLargeForExhaustive, match=r"^729\^3 tuples exceed the bound 16777216$"):
+        standard_poly_exhaustive(group_algebra(cyclic_group(6), F3), 3)
+    # The element bounds come first, in the order the table checks them.
+    with pytest.raises(TooLargeForExhaustive, match="^exhaustive enumeration needs a finite field$"):
+        standard_poly_exhaustive(matrix2_algebra(Q), 9)
+    with pytest.raises(TooLargeForExhaustive,
+                       match=r"^1594323 elements exceed the exhaustive bound 1048576$"):
+        standard_poly_exhaustive(group_algebra(cyclic_group(13), F3), 9)
+    with pytest.raises(TooLargeForExhaustive,
+                       match=r"^2187 elements exceed the index-table bound 2048$"):
+        standard_poly_exhaustive(group_algebra(cyclic_group(7), F3), 9)
+    assert builds == []
+
+
+def test_sampled_standard_poly_is_bounded(monkeypatch):
+    builds = _counting_tables(monkeypatch)
+    with pytest.raises(InvalidParameter, match=r"^16777217 samples exceed the bound 16777216$"):
+        standard_poly_sampled(matrix2_algebra(F2), 4, samples=2**24 + 1)
+    assert builds == []
 
 
 # -- ring laws of AlgebraElem over Q and F_p -------------------------------------
