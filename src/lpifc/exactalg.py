@@ -28,7 +28,7 @@ from .errors import (
 #: identity deg(pq) = deg p + deg q total.
 NEG_INF = float("-inf")
 
-DEFAULT_MAX_MODULUS = 2**31
+MAX_MODULUS = 2**31
 
 
 def _is_prime(n: int) -> bool:
@@ -49,12 +49,12 @@ class Field:
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = 0, max_modulus: int = DEFAULT_MAX_MODULUS):
+    def __init__(self, p: int = 0):
         if p == 0:
             self.p = 0
             return
-        if p > max_modulus:
-            raise InvalidParameter(f"modulus {p} exceeds the configured bound {max_modulus}")
+        if p > MAX_MODULUS:
+            raise InvalidParameter(f"modulus {p} exceeds the configured bound {MAX_MODULUS}")
         if not _is_prime(p):
             raise InvalidParameter(f"modulus {p} is not prime")
         self.p = p
@@ -248,6 +248,18 @@ def _canonical(p: int, cs) -> tuple:
     return tuple(cs)
 
 
+def binary_power(base, n: int, one):
+    """base^n for n >= 0 by repeated squaring; ``one()`` when n = 0."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one() if result is None else result
+
+
 def _plain_elem(field: Field, v) -> FieldElem:
     """The field element of a canonical plain number (a Fraction over Q)."""
     return FieldElem(field, v if field.p or type(v) is Fraction else Fraction(v))
@@ -378,14 +390,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise InvalidParameter("polynomial powers must be nonnegative")
-        result = UniPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, lambda: UniPoly.one(self.field))
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by T^k; a negative k drops the terms below T^-k first."""
@@ -546,14 +551,7 @@ class Mat2Poly:
         """Binary powering; a negative power inverts first."""
         if n < 0:
             return self.inv() ** (-n)
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return Mat2Poly.identity(self.field) if result is None else result
+        return binary_power(self, n, lambda: Mat2Poly.identity(self.field))
 
     def det(self) -> UniPoly:
         (a, b), (c, d) = self.e

@@ -137,65 +137,59 @@ class NCPoly:
 
 
 class TruncSeries:
-    """Homogeneous components indexed by multidegree, truncated at a total
-    degree bound.  Components are validated to be homogeneous of their index.
-    """
+    """A series truncated at a total-degree bound: one NCPoly with no monomial
+    longer than ``bound``.  The component at a multidegree is the sum of the
+    terms of that multidegree, so it is homogeneous by construction."""
 
-    __slots__ = ("field", "nvars", "bound", "comps")
+    __slots__ = ("bound", "poly")
 
-    def __init__(self, field: Field, nvars: int, bound: int, comps: Mapping[tuple[int, ...], NCPoly] = ()):
-        items = comps.items() if isinstance(comps, Mapping) else comps
-        acc: dict[tuple[int, ...], NCPoly] = {}
-        for md, poly in items:
-            if len(md) != nvars:
-                raise InvalidParameter("multidegree length must equal the variable count")
-            if sum(md) > bound:
-                continue
-            if poly.is_zero:
-                continue
-            if not poly.is_homogeneous_of(md):
-                raise InvalidParameter(f"component at {md} is not homogeneous of that multidegree")
-            acc[md] = poly
-        self.field = field
-        self.nvars = nvars
+    def __init__(self, bound: int, poly: NCPoly):
         self.bound = bound
-        self.comps = acc
+        self.poly = poly
 
-    @classmethod
-    def one(cls, field: Field, nvars: int, bound: int) -> "TruncSeries":
-        zero_md = (0,) * nvars
-        return cls(field, nvars, bound, {zero_md: NCPoly.one(field, nvars)})
+    @property
+    def field(self) -> Field:
+        return self.poly.field
+
+    @property
+    def nvars(self) -> int:
+        return self.poly.nvars
+
+    @property
+    def comps(self) -> dict[tuple[int, ...], NCPoly]:
+        """The nonzero components, keyed by multidegree."""
+        groups: dict[tuple[int, ...], dict[Monomial, FieldElem]] = {}
+        for mon, c in self.poly.terms.items():
+            groups.setdefault(self.poly.multidegree_of(mon), {})[mon] = c
+        return {md: NCPoly(self.field, self.nvars, terms) for md, terms in groups.items()}
 
     def component(self, md: tuple[int, ...]) -> NCPoly:
         return self.comps.get(md, NCPoly.zero(self.field, self.nvars))
 
     @property
     def is_zero(self) -> bool:
-        return not self.comps
+        return self.poly.is_zero
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        comps = sparse_sum(chain(self.comps.items(), other.comps.items()))
-        return TruncSeries(self.field, self.nvars, min(self.bound, other.bound), comps)
+        bound = min(self.bound, other.bound)
+        total = self.poly + other.poly
+        kept = {mon: c for mon, c in total.terms.items() if len(mon) <= bound}
+        return TruncSeries(bound, NCPoly(self.field, self.nvars, kept))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         bound = min(self.bound, other.bound)
-        comps = sparse_sum(
-            (tuple(a + b for a, b in zip(md1, md2)), p1 * p2)
-            for md1, p1 in self.comps.items()
-            for md2, p2 in other.comps.items()
-            if sum(md1) + sum(md2) <= bound
-        )
-        return TruncSeries(self.field, self.nvars, bound, comps)
+        pairs = ((m1 + m2, c1 * c2) for m1, c1 in self.poly.terms.items()
+                 for m2, c2 in other.poly.terms.items() if len(m1) + len(m2) <= bound)
+        return TruncSeries(bound, self.poly._sum(other.poly, pairs))
 
     def scale(self, c) -> "TruncSeries":
-        return TruncSeries(
-            self.field, self.nvars, self.bound, {md: p.scale(c) for md, p in self.comps.items()}
-        )
+        return TruncSeries(self.bound, self.poly.scale(c))
 
     def to_dict(self) -> dict:
+        comps = self.comps
         return {
-            ",".join(map(str, md)): self.comps[md].render()
-            for md in sorted(self.comps, key=lambda m: (sum(m), m))
+            ",".join(map(str, md)): comps[md].render()
+            for md in sorted(comps, key=lambda m: (sum(m), m))
         }
 
 
@@ -206,18 +200,6 @@ def _binomial(e: int, k: int) -> int:
     return (-1) ** k * math.comb(-e + k - 1, k)
 
 
-def _block_series(field: Field, nvars: int, gen: int, exp: int, bound: int) -> TruncSeries:
-    """(1 + X_gen*T_gen)^exp truncated at the total-degree bound."""
-    comps = {}
-    for k in range(bound + 1):
-        c = _binomial(exp, k)
-        if c == 0:
-            continue
-        md = tuple(k if i == gen else 0 for i in range(nvars))
-        comps[md] = NCPoly(field, nvars, {(gen,) * k: c})
-    return TruncSeries(field, nvars, bound, comps)
-
-
 def default_truncation(f: LaurentPoly) -> int:
     """Default total-degree bound: twice the maximal weight plus two."""
     weight = max((w.weight for w in f.terms), default=0)
@@ -225,7 +207,8 @@ def default_truncation(f: LaurentPoly) -> int:
 
 
 def expand(f: LaurentPoly, bound: int | None = None, nvars: int | None = None) -> TruncSeries:
-    """Expand f through X_i -> 1 + X_i*T_i, truncated at the total bound."""
+    """Expand f through X_i -> 1 + X_i*T_i, truncated at the total bound:
+    each block X_g^e becomes sum_k C(e, k)*X_g^k with k <= bound."""
     if bound is None:
         bound = default_truncation(f)
     if bound < 0:
@@ -235,11 +218,12 @@ def expand(f: LaurentPoly, bound: int | None = None, nvars: int | None = None) -
         raise InvalidParameter("declared variable count below the polynomial's rank")
     if n == 0:
         n = 1
-    total = TruncSeries(f.field, n, bound)
+    total = TruncSeries(bound, NCPoly.zero(f.field, n))
     for w, coeff in f.terms.items():
-        term = TruncSeries.one(f.field, n, bound)
+        term = TruncSeries(bound, NCPoly.one(f.field, n))
         for gen, exp in w.blocks:
-            term = term * _block_series(f.field, n, gen, exp, bound)
+            block = {(gen,) * k: _binomial(exp, k) for k in range(bound + 1)}
+            term = term * TruncSeries(bound, NCPoly(f.field, n, block))
         total = total + term.scale(coeff)
     return total
 
@@ -250,18 +234,16 @@ def minimal_degree(ts: TruncSeries) -> tuple[int, list[tuple[int, ...]]]:
     """
     if ts.is_zero:
         raise AllZero("every component vanished within the truncation bound")
-    m = min(sum(md) for md in ts.comps)
-    mds = sorted((md for md in ts.comps if sum(md) == m))
+    m = min(len(mon) for mon in ts.poly.terms)
+    mds = sorted({ts.poly.multidegree_of(mon) for mon in ts.poly.terms if len(mon) == m})
     return m, mds
 
 
 def minimal_component_sum(ts: TruncSeries) -> NCPoly:
-    """The sum of all components at the minimal total degree."""
-    m, mds = minimal_degree(ts)
-    out = NCPoly.zero(ts.field, ts.nvars)
-    for md in mds:
-        out = out + ts.comps[md]
-    return out
+    """The sum of all components at the minimal total degree: the terms of
+    minimal length."""
+    m, _ = minimal_degree(ts)
+    return NCPoly(ts.field, ts.nvars, {mon: c for mon, c in ts.poly.terms.items() if len(mon) == m})
 
 
 def eval_ncpoly(p: NCPoly, assignment: Sequence) -> object:

@@ -27,7 +27,7 @@ from .errors import (
     ZeroPolynomial,
     check_count,
 )
-from .exactalg import Field, FieldElem, UniPoly, _plain_elem, _reduce
+from .exactalg import Field, FieldElem, UniPoly, _plain_elem, _reduce, binary_power
 from .laurent import LaurentPoly
 from .linalg import solve
 
@@ -44,7 +44,7 @@ class FiniteGroup:
     __slots__ = ("order", "table", "identity", "inverses", "labels", "name")
 
     def __init__(self, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None,
-                 name: str = "group", validate: bool = True):
+                 name: str = "group"):
         n = len(table)
         self.order = n
         self.table = tuple(tuple(row) for row in table)
@@ -52,8 +52,7 @@ class FiniteGroup:
         self.name = name
         if len(self.labels) != n:
             raise InvalidParameter("label count must equal the group order")
-        if validate:
-            self._validate()
+        self._validate()
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
 
@@ -297,12 +296,10 @@ class AlgebraElem:
         return self._combine([a * c for a in self._c])
 
     def __pow__(self, n: int) -> "AlgebraElem":
+        """Binary power; a negative n raises the inverse."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return binary_power(self, n, self.algebra.one)
 
     @property
     def is_zero(self) -> bool:
@@ -722,8 +719,7 @@ def eval_laurent_in_algebra(f: LaurentPoly, units: Sequence[AlgebraElem]) -> Alg
                 if gen not in inverses:
                     inverses[gen] = u.inverse()
                 base = inverses[gen]
-            for _ in range(abs(exp)):
-                term = term * base
+            term = term * base ** abs(exp)
         out = out + term.scale(c)
     return out
 
@@ -788,24 +784,29 @@ def standard_poly(k: int, elements: Sequence[AlgebraElem]) -> AlgebraElem:
 
 # -- exhaustive element tables -------------------------------------------------
 
+# Module bounds, read at call time.
 ENUM_LIMIT = 2**20
 TABLE_LIMIT = 2048
 # Tuples an S_k check may examine, exhaustive or sampled.
 TUPLE_LIMIT = 2**24
+# Square-zero pairs the exhaustive p1 scan without index tables may examine.
+PAIR_LIMIT = 2**22
+# Elements structural_predicates enumerates for its idempotents; above it,
+# it falls back to the averaging idempotents.
+IDEMPOTENT_ENUM_LIMIT = 2**16
 
 
-def _element_count(algebra: FinAlgebra, enum_limit: int = ENUM_LIMIT,
-                   table_limit: int = TABLE_LIMIT) -> int:
-    """p^dim, checked against the enumeration and index-table bounds before
-    anything is built."""
+def _element_count(algebra: FinAlgebra, tables: bool = True) -> int:
+    """p^dim, checked against the enumeration bound, and the index-table
+    bound if ``tables``, before anything is built."""
     field = algebra.field
     if not field.is_finite:
         raise TooLargeForExhaustive("exhaustive enumeration needs a finite field")
     count = field.order ** algebra.dim
-    if count > enum_limit:
-        raise TooLargeForExhaustive(f"{count} elements exceed the exhaustive bound {enum_limit}")
-    if count > table_limit:
-        raise TooLargeForExhaustive(f"{count} elements exceed the index-table bound {table_limit}")
+    if count > ENUM_LIMIT:
+        raise TooLargeForExhaustive(f"{count} elements exceed the exhaustive bound {ENUM_LIMIT}")
+    if tables and count > TABLE_LIMIT:
+        raise TooLargeForExhaustive(f"{count} elements exceed the index-table bound {TABLE_LIMIT}")
     return count
 
 
@@ -813,9 +814,8 @@ class ElementTable:
     """All elements of a small algebra over a finite field, with integer
     index tables for multiplication, addition, and negation (numpy int32)."""
 
-    def __init__(self, algebra: FinAlgebra, enum_limit: int = ENUM_LIMIT,
-                 table_limit: int = TABLE_LIMIT):
-        self.n = n = _element_count(algebra, enum_limit, table_limit)
+    def __init__(self, algebra: FinAlgebra):
+        self.n = n = _element_count(algebra)
         self.algebra = algebra
         p = algebra.field.order
         # Plain vectors in [0, p): already canonical for the raw product.
@@ -858,13 +858,12 @@ class CheckResult:
         return {"holds": self.holds, "checked": self.checked, "witness": self.witness}
 
 
-def standard_poly_exhaustive(algebra: FinAlgebra, k: int = 4,
-                             max_tuples: int = TUPLE_LIMIT) -> CheckResult:
+def standard_poly_exhaustive(algebra: FinAlgebra, k: int = 4) -> CheckResult:
     """Check S_k = 0 over every k-tuple of algebra elements."""
     _check_arity(k)
     n = _element_count(algebra)
-    if n**k > max_tuples:
-        raise TooLargeForExhaustive(f"{n}^{k} tuples exceed the bound {max_tuples}")
+    if n**k > TUPLE_LIMIT:
+        raise TooLargeForExhaustive(f"{n}^{k} tuples exceed the bound {TUPLE_LIMIT}")
     return _standard_poly_scan(ElementTable(algebra), k, (n,) * k, lambda grid: grid)
 
 
@@ -1011,15 +1010,16 @@ def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly) -> CheckResult:
 def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
     """Exhaustive scan without index tables: enumerate all elements, filter
     the square-zero ones, test every pair with exact arithmetic."""
-    _element_count(algebra, table_limit=ENUM_LIMIT)  # no index tables here
+    _element_count(algebra, tables=False)
     square_zero = [
         AlgebraElem._new(algebra, v)
         for v in itertools.product(range(algebra.field.order), repeat=algebra.dim)
         if not any(algebra._mul_raw(v, v))
     ]
-    if len(square_zero) ** 2 > 2**22:
+    if len(square_zero) ** 2 > PAIR_LIMIT:
         raise TooLargeForExhaustive(
-            f"{len(square_zero)}^2 square-zero pairs exceed the pair bound 2^22"
+            f"{len(square_zero)}^2 square-zero pairs exceed the pair bound "
+            f"2^{PAIR_LIMIT.bit_length() - 1}"
         )
     return _p1_on_pairs(square_zero, g)
 
@@ -1202,7 +1202,7 @@ def _averaging_idempotents(algebra: FinAlgebra) -> list[AlgebraElem]:
     return list(unique.values())
 
 
-def structural_predicates(algebra: FinAlgebra, max_elements: int = 2**16) -> StructuralReport:
+def structural_predicates(algebra: FinAlgebra) -> StructuralReport:
     """Centrality of idempotents and the normalizer criterion
     (g-1)h*hat(g) = 0  <=>  h normalizes the cyclic subgroup of g,
     checked over every pair (g, h)."""
@@ -1212,7 +1212,7 @@ def structural_predicates(algebra: FinAlgebra, max_elements: int = 2**16) -> Str
     field = algebra.field
 
     idempotents: list[AlgebraElem]
-    if field.is_finite and field.order ** algebra.dim <= max_elements:
+    if field.is_finite and field.order ** algebra.dim <= IDEMPOTENT_ENUM_LIMIT:
         mode = "exhaustive"
         idempotents = []
         for vec in itertools.product(range(field.order), repeat=algebra.dim):

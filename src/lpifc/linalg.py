@@ -1,6 +1,6 @@
 """Exact dense linear algebra over a Field: row reduction, rank, nullspace,
-solving, and inversion.  Everything works on lists of FieldElem rows; inputs
-are never mutated.
+and solving.  Everything works on lists of FieldElem rows; inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -77,12 +77,3 @@ def solve(field: Field, a: Matrix, b: Row) -> Row | None:
         x[pc] = reduced[r][ncols]
     return x
 
-
-def invert(field: Field, a: Matrix) -> Matrix | None:
-    """The inverse of a square matrix, or None when singular."""
-    n = len(a)
-    aug = [list(row) + [field.one if i == j else field.zero for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in reduced[:n]]

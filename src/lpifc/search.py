@@ -64,8 +64,8 @@ class CampaignReport:
             out["duration_ms"] = self.duration_ms
         return out
 
-    def to_json(self, include_timing: bool = False, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def enum_words(c_max: int) -> Iterator[Word]:

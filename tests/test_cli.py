@@ -25,7 +25,10 @@ from lpifc.cli import main
 # `m2 --field 3 --k 4 --samples 50000 --seed 7` and the `group:cyclic:6
 # --field 3 --k 3` rejection were recorded at commit ddba5ab, where S_k built
 # every tuple up front, before the chunked scan; the `--samples 16777217`
-# rejection was recorded once the sampled count became bounded.
+# rejection was recorded once the sampled count became bounded. The `expand`
+# entries for `X*Y*X^-1*Y^-1 - 1 --trunc 1`, `X^-2 + Y^3 --trunc 0` and
+# `X^-1*Y^2*X - Y --field 2 --trunc 5` were recorded at commit 472229a, where
+# the truncated series kept one NCPoly per multidegree.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]

@@ -42,6 +42,15 @@ def test_field_validation():
     assert Field(2147483647).order == 2147483647  # largest default prime
 
 
+def test_modulus_bound_is_read_at_call_time(monkeypatch):
+    import lpifc.exactalg as exactalg_mod
+
+    monkeypatch.setattr(exactalg_mod, "MAX_MODULUS", 5)
+    assert Field(5).order == 5
+    with pytest.raises(InvalidParameter, match="^modulus 7 exceeds the configured bound 5$"):
+        Field(7)
+
+
 def test_rationals_stay_reduced():
     x = Q(Fraction(2, 4))
     assert x == Q.from_fraction(1, 2)

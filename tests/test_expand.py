@@ -1,9 +1,13 @@
 """Truncated power-series expansion: components, minimal degree, minimal
 component sums, and evaluation in finite-dimensional algebras."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpifc.errors import AllZero, DimensionMismatch
 from lpifc.exactalg import Field
@@ -17,9 +21,11 @@ from lpifc.expand import (
 )
 from lpifc.grpalg import matrix2_algebra, square_zero_algebra
 from lpifc.laurent import LaurentPoly, parse_laurent
+from lpifc.words import words_of_weight_at_most
 
 Q = Field(0)
 F2 = Field(2)
+F3 = Field(3)
 
 
 def test_expand_x_minus_one():
@@ -212,3 +218,66 @@ def test_expansion_is_additive():
     lhs = expand(f + g, 4, nvars=2)
     rhs = expand(f, 4, nvars=2) + expand(g, 4, nvars=2)
     assert lhs.comps == rhs.comps
+
+
+# -- differential against a block-by-block route -------------------------------
+
+
+def _blockwise_comps(f: LaurentPoly, bound: int, nvars: int) -> dict:
+    """The multidegree -> NCPoly map of f's expansion, term by term: each
+    block X_g^e becomes the truncated series sum_k C(e, k)*X_g^k T_g^k, and
+    the blocks multiply as maps keyed by multidegree."""
+    field = f.field
+    zero = NCPoly.zero(field, nvars)
+
+    def add_into(acc, md, poly):
+        acc[md] = acc.get(md, zero) + poly
+
+    total: dict = {}
+    for w, coeff in f.terms.items():
+        term = {(0,) * nvars: NCPoly(field, nvars, {(): 1})}
+        for gen, exp in w.blocks:
+            block = {}
+            for k in range(bound + 1):
+                c = math.prod(range(exp, exp - k, -1)) // math.factorial(k)
+                md = tuple(k if i == gen else 0 for i in range(nvars))
+                block[md] = NCPoly(field, nvars, {(gen,) * k: c})
+            product: dict = {}
+            for md1, p1 in term.items():
+                for md2, p2 in block.items():
+                    if sum(md1) + sum(md2) <= bound:
+                        add_into(product, tuple(a + b for a, b in zip(md1, md2)), p1 * p2)
+            term = product
+        for md, poly in term.items():
+            add_into(total, md, poly.scale(coeff))
+    return {md: poly for md, poly in total.items() if not poly.is_zero}
+
+
+WORDS_UP_TO_3 = list(words_of_weight_at_most(3))
+
+
+def _coefficients(field):
+    if field.p == 0:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([Q, F2, F3]), st.sampled_from([1, 2]), st.integers(0, 6), st.data())
+def test_expand_matches_blockwise_route(field, nvars, bound, data):
+    pool = [w for w in WORDS_UP_TO_3 if w.rank <= nvars]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), _coefficients(field)), max_size=4))
+    f = LaurentPoly(field, pairs)
+    ts = expand(f, bound, nvars=nvars)
+    expected = _blockwise_comps(f, bound, nvars)
+    assert ts.comps == expected
+    assert (ts * ts).comps == _blockwise_comps(f * f, bound, nvars)
+    assert (ts.field, ts.nvars, ts.bound, ts.is_zero) == (field, nvars, bound, not expected)
+    if expected:
+        m = min(sum(md) for md in expected)
+        mds = sorted(md for md in expected if sum(md) == m)
+        assert minimal_degree(ts) == (m, mds)
+        minimal = NCPoly.zero(field, nvars)
+        for md in mds:
+            minimal = minimal + expected[md]
+        assert minimal_component_sum(ts) == minimal

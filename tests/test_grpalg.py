@@ -31,6 +31,7 @@ from lpifc.grpalg import (
     build_group,
     cyclic_group,
     dihedral_group,
+    eval_laurent_in_algebra,
     falsify_lpi,
     finitecondi_witness,
     group_algebra,
@@ -154,6 +155,43 @@ def test_regular_representation_inverse_random():
                 continue
             assert a * inv == A.one() and inv * a == A.one()
             found += 1
+
+
+def _repeated_power(a, n):
+    """a^n as |n| products, through the inverse for negative n."""
+    base = a if n >= 0 else a.inverse()
+    out = a.algebra.one()
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+def test_power_matches_repeated_product():
+    rng = random.Random(47)
+    for A in (
+        group_algebra(symmetric_group(3), F2),
+        matrix2_algebra(F3),
+        square_zero_algebra(Field(5), 2),
+        matrix2_algebra(Q),
+    ):
+        unit = next(a for a in iter(lambda: A.random_element(rng), None) if a.is_unit())
+        other = A.random_element(rng)
+        for n in range(-5, 41):
+            assert unit ** n == _repeated_power(unit, n), (A, n)
+            if n >= 0:
+                assert other ** n == _repeated_power(other, n), (A, n)
+        assert unit ** 0 == A.one() == other ** 0
+
+
+def test_eval_laurent_matches_repeated_products():
+    A = group_algebra(symmetric_group(3), F3)
+    rng = random.Random(48)
+    u, v = (next(a for a in iter(lambda: A.random_element(rng), None) if a.is_unit())
+            for _ in range(2))
+    f = parse_laurent("2*X^7*Y^-5*X^-3 - Y^12 + 1", F3)
+    expected = (_repeated_power(u, 7) * _repeated_power(v, -5) * _repeated_power(u, -3)).scale(2)
+    expected = expected - _repeated_power(v, 12) + A.one()
+    assert eval_laurent_in_algebra(f, [u, v]) == expected
 
 
 def test_structure_file_roundtrip(tmp_path):
@@ -387,6 +425,15 @@ def test_qs3_noncentral_idempotent_found():
     assert not report.all_idempotents_central
     assert report.normalizer_criterion_holds
     assert report.normalizer_pairs_checked == 36
+
+
+def test_idempotent_enumeration_bound(monkeypatch):
+    # F2[S3] has 2^6 = 64 elements: enumerated at the default bound, averaged
+    # below it.
+    A = group_algebra(symmetric_group(3), F2)
+    assert structural_predicates(A).idempotent_mode == "exhaustive"
+    monkeypatch.setattr(grpalg_mod, "IDEMPOTENT_ENUM_LIMIT", 63)
+    assert structural_predicates(A).idempotent_mode == "averaging"
 
 
 def test_normalizer_criterion_small_groups():
@@ -703,6 +750,20 @@ def test_exhaustive_bounds_are_checked_before_the_table_is_built(monkeypatch):
                        match=r"^2187 elements exceed the index-table bound 2048$"):
         standard_poly_exhaustive(group_algebra(cyclic_group(7), F3), 9)
     assert builds == []
+
+
+def test_table_and_pair_bounds_are_read_at_call_time(monkeypatch):
+    # sqzero2 over F2 has 16 elements, 8 of them square-zero.
+    A = square_zero_algebra(F2, 2)
+    g = UniPoly.parse("T^2", F2)
+    monkeypatch.setattr(grpalg_mod, "TABLE_LIMIT", 8)
+    with pytest.raises(TooLargeForExhaustive, match=r"^16 elements exceed the index-table bound 8$"):
+        ElementTable(A)
+    assert p1_check(A, g).holds  # the direct scan takes over
+    monkeypatch.setattr(grpalg_mod, "PAIR_LIMIT", 4)
+    with pytest.raises(TooLargeForExhaustive,
+                       match=r"^8\^2 square-zero pairs exceed the pair bound 2\^2$"):
+        p1_check(A, g)
 
 
 def test_sampled_standard_poly_is_bounded(monkeypatch):
