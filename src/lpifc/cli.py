@@ -22,16 +22,7 @@ import sys
 
 from . import expand as expand_mod
 from . import fcrep, grpalg, search
-from .errors import (
-    ArityMismatch,
-    InvalidParameter,
-    NoSigmaTau,
-    ParseError,
-    StillInL,
-    TooLargeForExhaustive,
-    ZeroModulus,
-    ZeroPolynomial,
-)
+from .errors import InvalidParameter, NoSigmaTau, StillInL, UsageError
 from .exactalg import Field, UniPoly, render_scalar_mat, scalar_mat_is_zero
 from .laurent import max_cumulus, obstruction_matrix, parse_laurent
 from .words import parse_word, word_invariants
@@ -266,6 +257,8 @@ def _algebra_from(spec: str, field: Field) -> grpalg.FinAlgebra:
         return grpalg.square_zero_algebra(field, 2)
     if spec.startswith("group:"):
         return grpalg.group_algebra(grpalg.build_group(spec[len("group:"):]), field)
+    if spec.startswith("group-file:"):
+        return grpalg.group_algebra(grpalg.load_group(spec[len("group-file:"):]), field)
     if spec.startswith("file:"):
         return grpalg.load_algebra(spec[len("file:"):], field)
     raise InvalidParameter(
@@ -275,14 +268,9 @@ def _algebra_from(spec: str, field: Field) -> grpalg.FinAlgebra:
 
 def cmd_grpalg(args) -> int:
     field = _field_from(args)
-    if args.group:
-        algebra = grpalg.group_algebra(grpalg.build_group(args.group), field)
-    elif args.group_file:
-        algebra = grpalg.group_algebra(grpalg.load_group(args.group_file), field)
-    elif args.algebra_file:
-        algebra = grpalg.load_algebra(args.algebra_file, field)
-    else:
+    if args.algebra is None:
         raise InvalidParameter("grpalg needs --group, --group-file, or --algebra-file")
+    algebra = _algebra_from(args.algebra, field)
 
     if args.lpi:
         f = parse_laurent(args.lpi, field)
@@ -425,14 +413,21 @@ def cmd_standard_poly(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+ALGEBRA_SPEC = "m2 | sqzero1 | sqzero2 | group:SPEC | group-file:PATH | file:PATH"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lpifc",
+        prog="lpifc", allow_abbrev=False,
         description="Exact verification toolkit for Laurent polynomial identities of unit groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field=True, seed=False, units=False):
+    def command(name, func, help, expr=False, field=True, seed=False, units=False):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        if expr:
+            p.add_argument("expr")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--timings", action="store_true", help="include wall-clock durations in JSON")
         if field:
@@ -443,101 +438,69 @@ def build_parser() -> argparse.ArgumentParser:
         if units:
             p.add_argument("--units", choices=("primary", "alternate", "swapped"),
                            default="primary")
+        return p
 
-    p = sub.add_parser("word", help="invariants of a word")
-    p.add_argument("expr")
-    common(p, field=False)
-    p.set_defaults(func=cmd_word)
+    command("word", cmd_word, "invariants of a word", expr=True, field=False)
+    command("obstruct", cmd_obstruct, "obstruction matrix of a Laurent polynomial", expr=True)
+    command("eval", cmd_eval, "evaluate a Laurent polynomial at a unit pair", expr=True, units=True)
+    command("in-l", cmd_in_l, "decompose an a,b-expression and test membership in L", expr=True)
 
-    p = sub.add_parser("obstruct", help="obstruction matrix of a Laurent polynomial")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(func=cmd_obstruct)
-
-    p = sub.add_parser("eval", help="evaluate a Laurent polynomial at a unit pair")
-    p.add_argument("expr")
-    common(p, units=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("in-l", help="decompose an a,b-expression and test membership in L")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(func=cmd_in_l)
-
-    p = sub.add_parser("extract-g", help="extract the witness polynomial from a falsified input")
-    p.add_argument("expr")
-    common(p, units=True)
+    p = command("extract-g", cmd_extract_g, "extract the witness polynomial from a falsified input",
+                expr=True, units=True)
     p.add_argument("--conj-bound", type=int, default=3)
-    p.set_defaults(func=cmd_extract_g)
 
-    p = sub.add_parser("thekey", help="solve the conjugation membership system")
-    common(p)
+    p = command("thekey", cmd_thekey, "solve the conjugation membership system")
     p.add_argument("--degree-bound", type=int, default=4)
-    p.set_defaults(func=cmd_thekey)
 
-    p = sub.add_parser("expand", help="truncated power-series expansion")
-    p.add_argument("expr")
-    common(p)
+    p = command("expand", cmd_expand, "truncated power-series expansion", expr=True)
     p.add_argument("--trunc", type=int, default=None, help="total-degree truncation bound")
-    p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("verify-tables", help="leading-term table campaign")
-    common(p)
+    p = command("verify-tables", cmd_verify_tables, "leading-term table campaign")
     p.add_argument("--cmax", type=int, default=3)
-    p.set_defaults(func=cmd_verify_tables)
 
-    p = sub.add_parser("support3", help="three-term-support falsification campaign")
-    common(p, seed=True)
+    p = command("support3", cmd_support3, "three-term-support falsification campaign", seed=True)
     p.add_argument("--cmax", type=int, default=2)
     p.add_argument("--coeff-samples", type=int, default=5)
-    p.set_defaults(func=cmd_support3)
 
-    p = sub.add_parser("cprime-bound", help="alternate-pair degree bound campaign")
-    common(p, seed=True)
+    p = command("cprime-bound", cmd_cprime_bound, "alternate-pair degree bound campaign", seed=True)
     p.add_argument("--cmax", type=int, default=3)
     p.add_argument("--samples", type=int, default=50)
-    p.set_defaults(func=cmd_cprime_bound)
 
-    p = sub.add_parser("grpalg", help="group-algebra tools: info, falsify, predicates")
-    common(p, seed=True)
-    p.add_argument("--group", help="group spec, e.g. cyclic:6, sym:3, quaternion8, cyclic:2xcyclic:2")
-    p.add_argument("--group-file", help="permutation-generator group file")
-    p.add_argument("--algebra-file", help="structure-constant file")
+    p = command("grpalg", cmd_grpalg, "finite-algebra tools: info, falsify, predicates", seed=True)
+    # --group S, --group-file P and --algebra-file P spell --algebra group:S,
+    # group-file:P and file:P.
+    spec = p.add_mutually_exclusive_group()
+    spec.add_argument("--algebra", help=ALGEBRA_SPEC)
+    spec.add_argument("--group", dest="algebra", type="group:".__add__, metavar="GROUP",
+                      help="group spec, e.g. cyclic:6, sym:3, quaternion8, cyclic:2xcyclic:2")
+    spec.add_argument("--group-file", dest="algebra", type="group-file:".__add__,
+                      metavar="GROUP_FILE", help="permutation-generator group file")
+    spec.add_argument("--algebra-file", dest="algebra", type="file:".__add__,
+                      metavar="ALGEBRA_FILE", help="structure-constant file")
     p.add_argument("--lpi", help="Laurent polynomial to falsify on the unit group")
     p.add_argument("--predicates", action="store_true", help="idempotent/normalizer predicates")
     p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=cmd_grpalg)
 
-    p = sub.add_parser("p1", help="square-zero vanishing check g(ab) = 0")
-    common(p, seed=True)
-    p.add_argument("--algebra", required=True, help="m2 | sqzero1 | sqzero2 | group:SPEC | file:PATH")
-    p.add_argument("--g", required=True, help="one-variable polynomial, e.g. 'T^2'")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=2000)
-    p.set_defaults(func=cmd_p1)
+    for name, func, help in (("p1", cmd_p1, "square-zero vanishing check g(ab) = 0"),
+                             ("bac", cmd_bac, "zero-product chain check h(bacr) = 0 with h = T*g")):
+        p = command(name, func, help, seed=True)
+        p.add_argument("--algebra", required=True, help=ALGEBRA_SPEC)
+        p.add_argument("--g", required=True, help="one-variable polynomial, e.g. 'T^2'")
+        p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+        p.add_argument("--samples", type=int, default=2000)
 
-    p = sub.add_parser("bac", help="zero-product chain check h(bacr) = 0 with h = T*g")
-    common(p, seed=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=2000)
-    p.set_defaults(func=cmd_bac)
-
-    p = sub.add_parser("finitecondi", help="matrix witness r, a = r*e12, b = e21 with g(ab) != 0")
-    common(p, field=False)
+    p = command("finitecondi", cmd_finitecondi,
+                "matrix witness r, a = r*e12, b = e21 with g(ab) != 0", field=False)
     p.add_argument("--q", type=int, required=True, help="prime field size")
     p.add_argument("--g", required=True)
-    p.set_defaults(func=cmd_finitecondi)
 
-    p = sub.add_parser("standard-poly", help="standard polynomial S_k evaluation and sweeps")
-    common(p, seed=True)
-    p.add_argument("--algebra", required=True)
+    p = command("standard-poly", cmd_standard_poly, "standard polynomial S_k evaluation and sweeps",
+                seed=True)
+    p.add_argument("--algebra", required=True, help=ALGEBRA_SPEC)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--elements", help="semicolon-separated coefficient vectors to evaluate at")
-    p.set_defaults(func=cmd_standard_poly)
 
     return parser
 
@@ -554,11 +517,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, InvalidParameter, ZeroModulus, ZeroPolynomial,
-            TooLargeForExhaustive, ArityMismatch) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoSigmaTau,) as exc:
+    except NoSigmaTau as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

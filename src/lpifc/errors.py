@@ -2,11 +2,16 @@
 parameter.
 
 Every error raised on a violated precondition names the precondition in its
-message; the CLI maps these classes onto its exit codes.
+message.  The classes that report bad input derive from ``UsageError``, which
+the CLI turns into exit code 2; the others signal bugs.
 """
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """Bad input from the caller: text, a parameter, or an operand."""
+
+
+class ParseError(UsageError):
     """Malformed expression text; carries the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int):
@@ -14,31 +19,31 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class ZeroModulus(ValueError):
+class ZeroModulus(UsageError):
     """A rational literal whose denominator vanishes in the target field."""
 
 
-class InvalidParameter(ValueError):
+class InvalidParameter(UsageError):
     """A constructor or operation parameter outside its documented range."""
 
 
-class NonConstantDeterminant(ValueError):
+class NonConstantDeterminant(UsageError):
     """Matrix inversion requires a determinant of degree 0."""
 
 
-class SingularMatrix(ValueError):
+class SingularMatrix(UsageError):
     """Matrix inversion requires a nonzero determinant."""
 
 
-class IdentityWord(ValueError):
+class IdentityWord(UsageError):
     """Operation undefined on the identity word."""
 
 
-class ZeroPolynomial(ValueError):
+class ZeroPolynomial(UsageError):
     """Operation undefined on the zero polynomial."""
 
 
-class InvalidLetter(ValueError):
+class InvalidLetter(UsageError):
     """A letter outside the four generators X, X^-1, Y, Y^-1."""
 
 
@@ -58,19 +63,19 @@ class NoSigmaTau(RuntimeError):
     """No nonzero sigma*r*tau product despite r not in L; signals a bug."""
 
 
-class NonInvertibleOrder(ValueError):
+class NonInvertibleOrder(UsageError):
     """Element order not invertible in the coefficient field."""
 
 
-class NotAUnit(ValueError):
+class NotAUnit(UsageError):
     """Element has no two-sided inverse in its algebra."""
 
 
-class ArityMismatch(ValueError):
+class ArityMismatch(UsageError):
     """Number of supplied elements differs from the declared arity."""
 
 
-class TooLargeForExhaustive(ValueError):
+class TooLargeForExhaustive(UsageError):
     """Exhaustive enumeration would exceed the configured element bound."""
 
 
@@ -78,11 +83,11 @@ class NoWitness(RuntimeError):
     """Witness scan exhausted the field without success; signals a bug."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(UsageError):
     """Assignment length differs from the variable count."""
 
 
-class AllZero(ValueError):
+class AllZero(UsageError):
     """Every component within the truncation bound vanished; raise the bound."""
 
 

@@ -222,7 +222,9 @@ def expand(f: LaurentPoly, bound: int | None = None, nvars: int | None = None) -
     for w, coeff in f.terms.items():
         term = TruncSeries(bound, NCPoly.one(f.field, n))
         for gen, exp in w.blocks:
-            block = {(gen,) * k: _binomial(exp, k) for k in range(bound + 1)}
+            # C(e, k) = 0 for k > e >= 0, so a positive block stops at e.
+            top = bound if exp < 0 else min(exp, bound)
+            block = {(gen,) * k: _binomial(exp, k) for k in range(top + 1)}
             term = term * TruncSeries(bound, NCPoly(f.field, n, block))
         total = total + term.scale(coeff)
     return total

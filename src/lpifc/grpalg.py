@@ -991,20 +991,21 @@ def _p1_on_table(table: ElementTable, g: UniPoly) -> CheckResult:
                              "b": table.elem(int(sq0[ij[1]])).render()})
 
 
-def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly) -> CheckResult:
-    """Test g(ab) = 0 on every pair of the given square-zero elements."""
-    checked = 0
-    for a in square_zero:
-        for b in square_zero:
-            checked += 1
-            val = poly_at(g, a * b)
-            if not val.is_zero:
-                return CheckResult(
-                    holds=False,
-                    checked=checked,
-                    witness={"a": a.render(), "b": b.render(), "value": val.render()},
-                )
-    return CheckResult(holds=True, checked=checked)
+def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly,
+                 every_pair: bool = False) -> CheckResult:
+    """Test g(ab) = 0 on the pairs of the given square-zero elements in
+    order.  The first failing pair is the witness; the scan stops there
+    unless ``every_pair``, in which case it counts every pair, as the table
+    scan does."""
+    checked, witness = 0, None
+    for a, b in itertools.product(square_zero, repeat=2):
+        checked += 1
+        val = poly_at(g, a * b)
+        if witness is None and not val.is_zero:
+            witness = {"a": a.render(), "b": b.render(), "value": val.render()}
+            if not every_pair:
+                break
+    return CheckResult(holds=witness is None, checked=checked, witness=witness)
 
 
 def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
@@ -1021,7 +1022,28 @@ def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
             f"{len(square_zero)}^2 square-zero pairs exceed the pair bound "
             f"2^{PAIR_LIMIT.bit_length() - 1}"
         )
-    return _p1_on_pairs(square_zero, g)
+    return _p1_on_pairs(square_zero, g, every_pair=True)
+
+
+def _bac_on_table(table: ElementTable, h: UniPoly) -> CheckResult:
+    """The exhaustive zero-product chain scan h(bacr) = 0 on an element
+    table, over the pairs bc = 0 in row-major order, then a^2 = 0, then r."""
+    sq0 = table.square_zero_indices()
+    hvals = table.poly_values(h)
+    # x*y is mul[x*n + y]; x*n + y < n^2 <= TABLE_LIMIT^2 fits in int32.
+    n, mul = table.n, table.mul.ravel()
+    b, c = (idx.astype(np.int32) for idx in np.nonzero(table.mul == table.zero_idx))
+
+    def evaluate(grid: np.ndarray) -> np.ndarray:
+        pair, a, r = grid
+        ba = mul.take(b.take(pair) * n + sq0.take(a))
+        return hvals.take(mul.take(mul.take(ba * n + c.take(pair)) * n + r))
+
+    return _scan(table, (b.size, sq0.size, n), evaluate,
+                 lambda where: {"a": table.elem(int(sq0[where[1]])).render(),
+                                "b": table.elem(int(b[where[0]])).render(),
+                                "c": table.elem(int(c[where[0]])).render(),
+                                "r": table.elem(where[2]).render()})
 
 
 def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
@@ -1049,36 +1071,7 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
         )
     h = UniPoly.T(algebra.field) * g
     if mode == "exhaustive":
-        sq0 = table.square_zero_indices()
-        hvals = table.poly_values(h)
-        n = table.n
-        all_idx = np.arange(n, dtype=np.int32)
-        checked = 0
-        for b in range(n):
-            zero_c = np.nonzero(table.mul[b] == table.zero_idx)[0].astype(np.int32)
-            if zero_c.size == 0:
-                continue
-            ba = table.mul[b, sq0]  # over a in sq0
-            for c in zero_c:
-                bac = table.mul[ba, c]
-                bacr = table.mul[bac[:, None], all_idx[None, :]]
-                vals = hvals[bacr]
-                checked += int(vals.size)
-                bad = np.argwhere(vals != table.zero_idx)
-                if bad.size:
-                    i, j = int(bad[0][0]), int(bad[0][1])
-                    return CheckResult(
-                        holds=False,
-                        checked=checked,
-                        witness={
-                            "a": table.elem(int(sq0[i])).render(),
-                            "b": table.elem(b).render(),
-                            "c": table.elem(int(c)).render(),
-                            "r": table.elem(j).render(),
-                            "value": table.elem(int(vals[i, j])).render(),
-                        },
-                    )
-        return CheckResult(holds=True, checked=checked)
+        return _bac_on_table(table, h)
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):

@@ -295,6 +295,8 @@ def cprime_bound_campaign(
     total exponent weight, for every word of weight <= c_max and for sampled
     polynomials supported on them."""
     check_count("samples", samples)
+    if c_max < 1:
+        raise InvalidParameter("c_max must be at least 1")
     start = time.perf_counter()
     if field is None:
         field = Field(0)

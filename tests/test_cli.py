@@ -28,7 +28,12 @@ from lpifc.cli import main
 # rejection was recorded once the sampled count became bounded. The `expand`
 # entries for `X*Y*X^-1*Y^-1 - 1 --trunc 1`, `X^-2 + Y^3 --trunc 0` and
 # `X^-1*Y^2*X - Y --field 2 --trunc 5` were recorded at commit 472229a, where
-# the truncated series kept one NCPoly per multidegree.
+# the truncated series kept one NCPoly per multidegree. The entries for
+# `cprime-bound --cmax 0` and `--cmax -1`, the missing `grpalg` and `p1`
+# input files, `grpalg --algebra m2` and `grpalg` with two algebra flags were
+# recorded once those cases became usage errors or reachable (each ended in
+# a traceback before). The last one records no stderr: argparse wraps its
+# usage line to the terminal width.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]
@@ -255,6 +260,38 @@ def test_grpalg_algebra_file(tmp_path, capsys):
     assert code == 0 and record["dim"] == 2
 
 
+def test_grpalg_algebra_flags_are_spellings_of_one_spec(tmp_path, capsys):
+    path = tmp_path / "s3.grp"
+    path.write_text("perm-group\ndegree 3\ngen 1 0 2\ngen 1 2 0\n")
+    spellings = [
+        (["--group", "sym:3"], ["--algebra", "group:sym:3"]),
+        (["--group-file", str(path)], ["--algebra", f"group-file:{path}"]),
+    ]
+    for flag, spec in spellings:
+        assert run(capsys, "grpalg", *flag, "--field", "2") == run(capsys, "grpalg", *spec, "--field", "2")
+    code, out, err = run(capsys, "grpalg", "--group", "sym:3", "--algebra", "m2")
+    assert (code, out) == (2, "")
+    assert err.endswith("lpifc grpalg: error: argument --algebra: not allowed with argument --group\n")
+
+
+def test_abbreviated_flags_are_rejected(capsys):
+    # --alg once read as --algebra-file, --gro as --group
+    for argv in (["grpalg", "--alg", "m2"], ["grpalg", "--gro", "sym:3"], ["word", "X", "--js"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+
+def test_every_input_error_is_a_usage_error():
+    from lpifc import errors
+
+    classes = {name: obj for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    bugs = {name for name, cls in classes.items() if not issubclass(cls, errors.UsageError)}
+    assert bugs == {"DecompositionFailure", "InternalError", "NoSigmaTau", "NoWitness", "StillInL"}
+    assert len(classes) - len(bugs) == 15  # UsageError and its 14 subclasses
+
+
 def test_invalid_field_rejected(capsys):
     code, _, err = run(capsys, "obstruct", "X", "--field", "4")
     assert code == 2
@@ -288,4 +325,5 @@ def test_golden_campaigns_and_algebras(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
-    assert err == case["stderr"]
+    if "stderr" in case:
+        assert err == case["stderr"]

@@ -3,6 +3,7 @@ component sums, and evaluation in finite-dimensional algebras."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -210,6 +211,19 @@ def test_expand_negative_exponent_series():
     assert ts.component((1,)) == NCPoly(Q, 1, {(0,): -1})
     assert ts.component((2,)) == NCPoly(Q, 1, {(0, 0): 1})
     assert ts.component((3,)) == NCPoly(Q, 1, {(0, 0, 0): -1})
+
+
+def test_positive_exponents_expand_in_memory_independent_of_the_bound():
+    f = parse_laurent("X*Y^3", Q)
+    small = expand(f, bound=8)
+    tracemalloc.start()
+    try:
+        large = expand(f, bound=10**5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert large.comps == small.comps
+    assert peak < 2**20
 
 
 def test_expansion_is_additive():

@@ -194,11 +194,8 @@ def test_eval_laurent_matches_repeated_products():
     assert eval_laurent_in_algebra(f, [u, v]) == expected
 
 
-def test_structure_file_roundtrip(tmp_path):
-    # F3[x]/(x^2) as a structure-constant file
-    path = tmp_path / "dual_numbers.alg"
-    path.write_text(
-        """# dual numbers over F3
+# K[x]/(x^2) as a structure-constant file
+DUAL_NUMBERS = """# dual numbers
 algebra
 dim 2
 label 0 1
@@ -208,7 +205,11 @@ sc 0 0 0 1
 sc 0 1 1 1
 sc 1 0 1 1
 """
-    )
+
+
+def test_structure_file_roundtrip(tmp_path):
+    path = tmp_path / "dual_numbers.alg"
+    path.write_text(DUAL_NUMBERS)
     A = load_algebra(str(path), F3)
     assert A.dim == 2
     x = A.basis(1)
@@ -708,6 +709,103 @@ def test_chunked_scan_matches_unchunked_route(monkeypatch, case, chunk):
 def test_scan_cases_both_hold_and_fail():
     verdicts = {_scan_reference(*case)[0] for case in SCAN_CASES}
     assert verdicts == {True, False}
+
+
+# -- the exhaustive p1 routes agree ------------------------------------------------
+
+
+@pytest.mark.parametrize("algebra, g, holds, pairs", [
+    (square_zero_algebra(F2, 2), "T", False, 64),
+    (matrix2_algebra(F2), "T", False, 16),
+    (square_zero_algebra(F2, 2), "T^2", True, 64),
+], ids=lambda v: getattr(v, "name", v))
+def test_p1_direct_route_matches_table_route(monkeypatch, algebra, g, holds, pairs):
+    # Both algebras have 16 elements: TABLE_LIMIT = 8 sends p1 to the direct
+    # route, which counts every pair and keeps the first witness.
+    g = UniPoly.parse(g, algebra.field)
+    table_route = p1_check(algebra, g).to_dict()
+    monkeypatch.setattr(grpalg_mod, "TABLE_LIMIT", 8)
+    direct_route = p1_check(algebra, g).to_dict()
+    assert direct_route == table_route
+    assert (direct_route["holds"], direct_route["checked"]) == (holds, pairs)
+
+
+# -- the exhaustive bac scan against a per-(b, c) loop ----------------------------
+
+
+def _bac_loop(table, h):
+    """h(bacr) over a in sq0 and every r, one numpy block per pair (b, c)
+    with bc = 0, b and c in row-major order; stops at the first nonzero
+    value."""
+    sq0 = table.square_zero_indices()
+    hvals = table.poly_values(h)
+    all_idx = np.arange(table.n, dtype=np.int32)
+    checked = 0
+    for b in range(table.n):
+        ba = table.mul[b, sq0]
+        for c in np.nonzero(table.mul[b] == table.zero_idx)[0]:
+            vals = hvals[table.mul[table.mul[ba, c][:, None], all_idx[None, :]]]
+            checked += int(vals.size)
+            bad = np.argwhere(vals != table.zero_idx)
+            if bad.size:
+                i, j = int(bad[0][0]), int(bad[0][1])
+                return False, checked, {
+                    "a": table.elem(int(sq0[i])).render(),
+                    "b": table.elem(b).render(),
+                    "c": table.elem(int(c)).render(),
+                    "r": table.elem(j).render(),
+                    "value": table.elem(int(vals[i, j])).render(),
+                }
+    return True, checked, None
+
+
+def _bac_algebra(name, tmp_path):
+    kind, _, p = name.partition("/F")
+    field = Field(int(p))
+    if kind == "dual":
+        path = tmp_path / "dual_numbers.alg"
+        path.write_text(DUAL_NUMBERS)
+        return load_algebra(str(path), field)
+    if kind == "C5":
+        return group_algebra(cyclic_group(5), field)
+    return square_zero_algebra(field, int(kind.removeprefix("sqzero")))
+
+
+BAC_CASES = [
+    # T fails the square-zero vanishing on sqzero2, so bac_check refuses it.
+    *((f"sqzero{nvars}/F{p}", g) for p in (2, 3, 5) for nvars in (1, 2)
+      for g in ("T", "T^2") if nvars == 1 or g == "T^2"),
+    ("C5/F3", "T"),
+    ("dual/F3", "T"),
+    ("dual/F5", "T^2 + 2*T"),
+]
+
+
+@pytest.mark.parametrize("name, g", BAC_CASES, ids=[" ".join(case) for case in BAC_CASES])
+def test_bac_scan_matches_per_pair_loop(monkeypatch, tmp_path, name, g):
+    algebra = _bac_algebra(name, tmp_path)
+    g = UniPoly.parse(g, algebra.field)
+    # One table for both sides; sqzero2/F5 takes seconds to build.
+    table = ElementTable(algebra)
+    monkeypatch.setattr(grpalg_mod, "ElementTable", lambda _: table)
+    result = bac_check(algebra, g)
+    expected = _bac_loop(table, UniPoly.T(algebra.field) * g)
+    assert (result.holds, result.checked, result.witness) == expected
+    assert result.holds
+
+
+def test_bac_scan_witness_matches_per_pair_loop():
+    # M2(F2) fails p1 for g = T, so bac_check refuses it; the scan itself
+    # finds a witness, the same as the loop's, after counting every tuple.
+    table = ElementTable(matrix2_algebra(F2))
+    h = UniPoly.parse("T^2", F2)
+    result = grpalg_mod._bac_on_table(table, h)
+    holds, _, witness = _bac_loop(table, h)
+    assert holds is False
+    assert (result.holds, result.witness) == (False, witness)
+    assert list(witness) == ["a", "b", "c", "r", "value"]
+    zero_pairs = int((table.mul == table.zero_idx).sum())
+    assert result.checked == zero_pairs * table.square_zero_indices().size * table.n
 
 
 def test_exhaustive_standard_poly_allocates_no_tuple_grid():
