@@ -19,6 +19,7 @@ from .errors import AllZero, DimensionMismatch, InvalidParameter
 from .exactalg import Field, FieldElem
 from .laurent import LaurentPoly
 from .parsing import sparse_sum
+from .words import Word, WordImages
 
 Monomial = tuple[int, ...]
 
@@ -256,11 +257,6 @@ def eval_ncpoly(p: NCPoly, assignment: Sequence) -> object:
         )
     if not assignment:
         raise DimensionMismatch("evaluation needs at least one variable")
-    algebra = assignment[0].algebra
-    out = algebra.zero()
-    for mon, coeff in p.terms.items():
-        term = algebra.one()
-        for v in mon:
-            term = term * assignment[v]
-        out = out + term.scale(coeff)
-    return out
+    return WordImages(assignment).evaluate(
+        (Word.from_blocks((v, 1) for v in mon), coeff) for mon, coeff in p.terms.items()
+    )

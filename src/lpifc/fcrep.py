@@ -12,6 +12,7 @@ A, B, C, D in K[T]; :class:`FCMat` stores that decomposition.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +29,7 @@ from .exactalg import Field, FieldElem, Mat2Poly, UniPoly
 from .laurent import LaurentPoly
 from .linalg import nullspace, rank
 from .parsing import TokenStream, parse_terms, sparse_sum
-from .words import Word
+from .words import Word, WordImages
 
 # -- the representation ----------------------------------------------------
 
@@ -42,17 +43,17 @@ def phi_beta(field: Field) -> Mat2Poly:
     return Mat2Poly(field, ((z, z), (UniPoly.T(field), z)))
 
 
+def _word_of(mon: Sequence[int]) -> Word:
+    return Word.from_blocks((letter, 1) for letter in mon)
+
+
 def phi_monomial(mon: Sequence[int], field: Field) -> Mat2Poly:
     """Image of an alternating-letter monomial; 0 = alpha, 1 = beta.
 
     Repeated letters are allowed and map to zero, matching the relations
     alpha^2 = beta^2 = 0 (e12 and T*e21 square to zero).
     """
-    out = Mat2Poly.identity(field)
-    a, b = phi_alpha(field), phi_beta(field)
-    for letter in mon:
-        out = out * (a if letter == 0 else b)
-    return out
+    return WordImages((phi_alpha(field), phi_beta(field)))(_word_of(mon))
 
 
 def _read_ab(ts: TokenStream) -> tuple[int]:
@@ -75,10 +76,8 @@ def phi_eval(expr: str | Mapping[tuple[int, ...], object], field: Field) -> "FCM
     representation and decompose the result."""
     if isinstance(expr, str):
         expr = parse_fc_expr(expr, field)
-    total = Mat2Poly.zero(field)
-    for mon, coeff in expr.items():
-        total = total + phi_monomial(mon, field).scale(field(coeff))
-    return FCMat.decompose(total)
+    images = WordImages((phi_alpha(field), phi_beta(field)))
+    return FCMat.decompose(images.evaluate((_word_of(mon), field(c)) for mon, c in expr.items()))
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,8 @@ class FCMat:
 class UnitPair:
     """Images of a pair of units together with their exact inverses.
 
-    The pair also caches word images: every word prefix that ends at a block
-    boundary and has been evaluated, so the cache lives exactly as long as the
-    pair.
+    The pair holds the word evaluation X -> u, Y -> v, whose prefix cache
+    lives exactly as long as the pair.
     """
 
     kind: str
@@ -149,7 +147,7 @@ class UnitPair:
     v: Mat2Poly
     u_inv: Mat2Poly
     v_inv: Mat2Poly
-    _images: dict[Word, Mat2Poly] = dc_field(init=False, repr=False, compare=False)
+    _images: WordImages = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         field = self.u.field
@@ -164,34 +162,9 @@ class UnitPair:
             raise InvalidParameter("u_inv is not the inverse of u")
         if self.v * self.v_inv != one:
             raise InvalidParameter("v_inv is not the inverse of v")
-        object.__setattr__(self, "_images", {})
-
-    def _image(self, w: Word) -> Mat2Poly:
-        """The image of w: start from the longest cached block prefix and
-        extend it block by block, each block a binary power."""
-        images = self._images
-        img = images.get(w)
-        if img is not None:
-            return img
-        blocks = w.blocks
-        if not blocks:
-            return Mat2Poly.identity(self.u.field)
-        start = 0
-        for k in range(len(blocks) - 1, 0, -1):
-            hit = images.get(Word(blocks[:k]))
-            if hit is not None:
-                start, img = k, hit
-                break
-        # Generator g with exponent sign s is gens[g + 2 * (s < 0)].
-        gens = (self.u, self.v, self.u_inv, self.v_inv)
-        for k in range(start, len(blocks)):
-            gen, exp = blocks[k]
-            if gen > 1:
-                raise InvalidParameter("evaluation needs a two-variable word; reduce first")
-            step = gens[gen + 2 * (exp < 0)] ** abs(exp)
-            img = step if k == 0 else img * step
-            images[w if k == len(blocks) - 1 else Word(blocks[: k + 1])] = img
-        return img
+        # The inverses checked above are the unique ones, so the evaluation
+        # may compute its own.
+        object.__setattr__(self, "_images", WordImages((self.u, self.v)))
 
 
 def _one_plus(field: Field, mon: tuple[int, ...], sign: int = 1) -> Mat2Poly:
@@ -232,7 +205,7 @@ def unit_pair(kind: str, field: Field) -> UnitPair:
 
 def eval_word(w: Word, up: UnitPair) -> Mat2Poly:
     """The image of a word: the block product of unit powers and inverses."""
-    return up._image(w)
+    return up._images(w)
 
 
 def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
@@ -242,10 +215,7 @@ def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
         raise InvalidParameter(
             "evaluation needs a two-variable polynomial; apply reduce_to_two_vars first"
         )
-    out = Mat2Poly.zero(up.u.field)
-    for w, c in f.terms.items():
-        out = out + up._image(w).scale(c)
-    return out
+    return up._images.evaluate(f.terms.items())
 
 
 # -- faithfulness at desk scale ---------------------------------------------
@@ -471,20 +441,11 @@ class ExtractedWitness:
 def _conjugator_words(field: Field, bound: int) -> Iterable[tuple[str, Mat2Poly]]:
     """Products of the elementary units (1 +- a), (1 +- b) up to the bound,
     in deterministic order: length ascending, then factor-index lex."""
-    factors = [
-        ("(1+a)", _one_plus(field, (0,))),
-        ("(1-a)", _one_plus(field, (0,), -1)),
-        ("(1+b)", _one_plus(field, (1,))),
-        ("(1-b)", _one_plus(field, (1,), -1)),
-    ]
-    frontier: list[tuple[str, Mat2Poly]] = [("1", Mat2Poly.identity(field))]
-    for _ in range(bound):
-        new_frontier = []
-        for label, m in frontier:
-            for flabel, fm in factors:
-                new_frontier.append((label + flabel if label != "1" else flabel, m * fm))
-        frontier = new_frontier
-        yield from frontier
+    labels = ("(1+a)", "(1-a)", "(1+b)", "(1-b)")
+    units = WordImages(_one_plus(field, (letter,), sign) for letter in (0, 1) for sign in (1, -1))
+    for length in range(1, bound + 1):
+        for factors in itertools.product(range(4), repeat=length):
+            yield "".join(labels[i] for i in factors), units(_word_of(factors))
 
 
 def extract_g(f: LaurentPoly, up: UnitPair, conj_bound: int = 3) -> ExtractedWitness:

@@ -30,6 +30,7 @@ from .errors import (
 from .exactalg import Field, FieldElem, UniPoly, _plain_elem, _reduce, binary_power
 from .laurent import LaurentPoly
 from .linalg import solve
+from .words import Word, WordImages
 
 # -- finite groups -----------------------------------------------------------
 
@@ -545,27 +546,28 @@ def load_algebra(path: str, field: Field) -> FinAlgebra:
     labels: dict[int, str] = {}
     unity = None
     triples: list[tuple[int, int, int, FieldElem]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "algebra":
-                continue
-            if parts[0] == "dim":
-                dim = int(parts[1])
-            elif parts[0] == "label":
-                labels[int(parts[1])] = parts[2]
-            elif parts[0] == "unity":
-                unity = [_parse_scalar(tok, field, lineno) for tok in parts[1:]]
-            elif parts[0] == "sc":
-                i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
-                triples.append((i, j, k, _parse_scalar(parts[4], field, lineno)))
-            else:
-                raise ParseError(f"unknown directive {parts[0]!r} in algebra file", lineno)
+    # (line, index, ...) of the sc and label lines, checked against dim below.
+    indexed: list[tuple[int, ...]] = []
+    for lineno, parts in _directive_lines(path, "algebra"):
+        if parts[0] == "dim":
+            (dim,) = _int_fields(parts, lineno, 1)
+        elif parts[0] == "label":
+            i, name = _int_fields(parts, lineno, 1, 1)
+            labels[i] = name
+            indexed.append((lineno, i))
+        elif parts[0] == "unity":
+            unity = [_parse_scalar(tok, field, lineno) for tok in parts[1:]]
+        elif parts[0] == "sc":
+            i, j, k, c = _int_fields(parts, lineno, 3, 1)
+            triples.append((i, j, k, _parse_scalar(c, field, lineno)))
+            indexed.append((lineno, i, j, k))
+        else:
+            raise ParseError(f"unknown directive {parts[0]!r} in algebra file", lineno)
     if dim is None or unity is None:
         raise ParseError("algebra file needs 'dim' and 'unity' lines", 0)
+    for lineno, *indices in indexed:
+        if max(indices) >= dim:
+            raise ParseError(f"basis index outside [0, {dim})", lineno)
     sc = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in triples:
         sc[i][j][k] = sc[i][j][k] + c
@@ -586,20 +588,13 @@ def load_group(path: str) -> FiniteGroup:
     """
     degree = None
     gens: list[tuple[int, ...]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "perm-group":
-                continue
-            if parts[0] == "degree":
-                degree = int(parts[1])
-            elif parts[0] == "gen":
-                gens.append(tuple(int(t) for t in parts[1:]))
-            else:
-                raise ParseError(f"unknown directive {parts[0]!r} in group file", lineno)
+    for lineno, parts in _directive_lines(path, "perm-group"):
+        if parts[0] == "degree":
+            (degree,) = _int_fields(parts, lineno, 1)
+        elif parts[0] == "gen":
+            gens.append(tuple(_int_fields(parts, lineno, len(parts) - 1)))
+        else:
+            raise ParseError(f"unknown directive {parts[0]!r} in group file", lineno)
     if degree is None or not gens:
         raise ParseError("group file needs 'degree' and at least one 'gen' line", 0)
     for g in gens:
@@ -622,6 +617,26 @@ def load_group(path: str) -> FiniteGroup:
     table = [[index[tuple(p[q[i]] for i in range(degree))] for q in ordered] for p in ordered]
     labels = ["".join(map(str, p)) for p in ordered]
     return FiniteGroup(table, labels, name="file-group")
+
+
+def _directive_lines(path: str, header: str) -> list[tuple[int, list[str]]]:
+    """The line number and fields of each directive line of an input file;
+    comments, blank lines and the header line are left out."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [(lineno, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(fh, 1)]
+    return [(lineno, parts) for lineno, parts in lines if parts and parts[0] != header]
+
+
+def _int_fields(parts: list[str], lineno: int, ints: int, rest: int = 0) -> list:
+    """The fields after a directive: ``ints`` non-negative integers, then
+    ``rest`` tokens as they are.  A missing or bad field names the line."""
+    fields = parts[1:]
+    if len(fields) < ints + rest:
+        raise ParseError(f"too few fields for {parts[0]!r}: expected {ints + rest}", lineno)
+    bad = [tok for tok in fields[:ints] if not tok.isdecimal()]
+    if bad:
+        raise ParseError(f"{parts[0]!r} takes non-negative integers, got {bad[0]!r}", lineno)
+    return [int(tok) for tok in fields[:ints]] + fields[ints : ints + rest]
 
 
 def _parse_scalar(tok: str, field: Field, lineno: int) -> FieldElem:
@@ -702,28 +717,6 @@ def _sample_unit(algebra: FinAlgebra, rng: random.Random, strategy: int) -> Alge
     return algebra.one()
 
 
-def eval_laurent_in_algebra(f: LaurentPoly, units: Sequence[AlgebraElem]) -> AlgebraElem:
-    """Evaluate a Laurent polynomial at a tuple of units of an algebra."""
-    algebra = units[0].algebra
-    inverses = {}
-    out = algebra.zero()
-    for w, c in f.terms.items():
-        term = algebra.one()
-        for gen, exp in w.blocks:
-            if gen >= len(units):
-                raise InvalidParameter("not enough units supplied for the variable count")
-            u = units[gen]
-            if exp > 0:
-                base = u
-            else:
-                if gen not in inverses:
-                    inverses[gen] = u.inverse()
-                base = inverses[gen]
-            term = term * base ** abs(exp)
-        out = out + term.scale(c)
-    return out
-
-
 def falsify_lpi(f: LaurentPoly, algebra: FinAlgebra, trials: int = 200, seed: int = 0) -> FalsifyResult:
     """Sample unit tuples and evaluate f; the first nonzero evaluation is a
     counterexample witness.  Sampling mixes uniform group elements,
@@ -735,7 +728,7 @@ def falsify_lpi(f: LaurentPoly, algebra: FinAlgebra, trials: int = 200, seed: in
     k = max(f.nvars, 1)
     for t in range(trials):
         units = tuple(_sample_unit(algebra, rng, (t + i) % 3) for i in range(k))
-        value = eval_laurent_in_algebra(f, units)
+        value = WordImages(units).evaluate(f.terms.items())
         if not value.is_zero:
             return FalsifyResult(
                 found=True,
@@ -772,14 +765,10 @@ def standard_poly(k: int, elements: Sequence[AlgebraElem]) -> AlgebraElem:
     _check_arity(k)
     if len(elements) != k:
         raise ArityMismatch(f"S_{k} needs exactly {k} elements, got {len(elements)}")
-    algebra = elements[0].algebra
-    out = algebra.zero()
-    for perm in itertools.permutations(range(k)):
-        term = algebra.one()
-        for i in perm:
-            term = term * elements[i]
-        out = out + term.scale(_permutation_sign(perm))
-    return out
+    return WordImages(elements).evaluate(
+        (Word(tuple((i, 1) for i in perm)), _permutation_sign(perm))
+        for perm in itertools.permutations(range(k))
+    )
 
 
 # -- exhaustive element tables -------------------------------------------------

@@ -25,6 +25,7 @@ from .parsing import TokenStream, parse_terms, read_exponent, sparse_sum
 from .words import (
     Letter,
     Word,
+    WordImages,
     X_GEN,
     Y_GEN,
     word_invariants,
@@ -256,14 +257,8 @@ def reduce_to_two_vars(f: LaurentPoly, nvars: int | None = None) -> LaurentPoly:
     n = f.nvars if nvars is None else nvars
     if n < 1:
         n = 1
-    images = {
-        g: Word.generator(X_GEN, g + 1) * Word.generator(Y_GEN) * Word.generator(X_GEN, -(g + 1))
+    image = WordImages(
+        Word.generator(X_GEN, g + 1) * Word.generator(Y_GEN) * Word.generator(X_GEN, -(g + 1))
         for g in range(n)
-    }
-    def image(w: Word) -> Word:
-        img = Word.identity()
-        for g, e in w.blocks:
-            img = img * images[g] ** e
-        return img
-
+    )
     return LaurentPoly._from_sum(f.field, sparse_sum((image(w), c) for w, c in f.terms.items()))

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import IdentityWord, InvalidParameter, ParseError
+from .errors import IdentityWord, InternalError, InvalidParameter, ParseError
 from .parsing import TokenStream, read_exponent
 
 X_GEN = 0
@@ -146,6 +146,63 @@ class Word:
 
     def __str__(self) -> str:
         return self.render()
+
+
+class WordImages:
+    """The homomorphism from the free group that sends generator g to
+    ``images[g]``, in any ring whose elements multiply with ``*`` and take
+    integer powers with ``**`` (``Mat2Poly``, ``AlgebraElem``, ``Word``).
+
+    Each block of a word is a binary power of a generator image, or of its
+    inverse ``images[g] ** -1``, which is computed once, when a negative
+    exponent first needs it.  The identity word maps to ``images[0] ** 0``.
+    The image of every block-boundary prefix of an evaluated word is cached
+    for the object's lifetime, so words that share a prefix share its product.
+    """
+
+    __slots__ = ("_images", "_inverses", "_cache")
+
+    def __init__(self, images):
+        self._images = tuple(images)
+        self._inverses = [None] * len(self._images)
+        self._cache = {}
+
+    def __call__(self, w: Word):
+        """The image of w: start from the longest cached block prefix and
+        extend it block by block."""
+        cache = self._cache
+        img = cache.get(w)
+        if img is not None:
+            return img
+        blocks = w.blocks
+        if not blocks:
+            return self._images[0] ** 0
+        start = 0
+        for k in range(len(blocks) - 1, 0, -1):
+            hit = cache.get(Word(blocks[:k]))
+            if hit is not None:
+                start, img = k, hit
+                break
+        for k in range(start, len(blocks)):
+            gen, exp = blocks[k]
+            if gen >= len(self._images):
+                raise InvalidParameter(f"the word {w} has a generator with no image")
+            base = self._images[gen]
+            if exp < 0:
+                base = self._inverses[gen]
+                if base is None:
+                    base = self._inverses[gen] = self._images[gen] ** -1
+            step = base ** abs(exp)
+            img = step if k == 0 else img * step
+            cache[w if k == len(blocks) - 1 else Word(blocks[: k + 1])] = img
+        return img
+
+    def evaluate(self, terms: Iterable[tuple[Word, object]]):
+        """The linear combination: the sum of ``self(w).scale(c)`` over the
+        (w, c) pairs, in order; the ring's zero when there are none."""
+        scaled = (self(w).scale(c) for w, c in terms)
+        first = next(scaled, None)
+        return self(Word.identity()).scale(0) if first is None else sum(scaled, first)
 
 
 @dataclass(frozen=True)
@@ -296,7 +353,7 @@ def factor_cumulus_one(w: Word) -> list[Word]:
     budget = 2 * w.weight + 1  # hard stop; the factor count is at most C'(w)
     while not cur.is_identity:
         if budget == 0:
-            raise AssertionError(f"factorization did not terminate on {w}")
+            raise InternalError(f"factorization did not terminate on {w}")
         budget -= 1
         w1 = _head_factor(cur)
         factors.append(w1)

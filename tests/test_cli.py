@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schemas, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -327,3 +328,21 @@ def test_golden_campaigns_and_algebras(capsys, case):
     assert out == case["stdout"]
     if "stderr" in case:
         assert err == case["stderr"]
+
+
+def test_benchmark_query_catalogue_replays(capsys):
+    # Every recorded benchmark query and probe, run in process: the exit code
+    # and the sha256 of stdout must match the catalogue, which the benchmark
+    # checks on every pass.
+    catalogue = json.loads(
+        (Path(__file__).parent.parent / "perfbench" / "queries.json").read_text()
+    )
+    assert catalogue["entries"]
+    entries = catalogue["entries"] + list(catalogue["probes"].values())
+    mismatched = []
+    for entry in entries:
+        code, out, _ = run(capsys, *entry["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (entry["exit"], entry["sha256"]):
+            mismatched.append((entry["id"], code, digest[:12]))
+    assert mismatched == []

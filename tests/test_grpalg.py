@@ -18,6 +18,7 @@ from lpifc.errors import (
     InvalidParameter,
     NonInvertibleOrder,
     NotAUnit,
+    ParseError,
     TooLargeForExhaustive,
     ZeroPolynomial,
 )
@@ -31,7 +32,6 @@ from lpifc.grpalg import (
     build_group,
     cyclic_group,
     dihedral_group,
-    eval_laurent_in_algebra,
     falsify_lpi,
     finitecondi_witness,
     group_algebra,
@@ -51,6 +51,7 @@ from lpifc.grpalg import (
     symmetric_group,
 )
 from lpifc.laurent import parse_laurent
+from lpifc.words import Word, WordImages, words_of_weight_at_most
 
 Q = Field(0)
 F2 = Field(2)
@@ -191,7 +192,51 @@ def test_eval_laurent_matches_repeated_products():
     f = parse_laurent("2*X^7*Y^-5*X^-3 - Y^12 + 1", F3)
     expected = (_repeated_power(u, 7) * _repeated_power(v, -5) * _repeated_power(u, -3)).scale(2)
     expected = expected - _repeated_power(v, 12) + A.one()
-    assert eval_laurent_in_algebra(f, [u, v]) == expected
+    assert WordImages([u, v]).evaluate(f.terms.items()) == expected
+
+
+def _letter_product(units, w):
+    """The image of w as one product per letter, through each unit's inverse."""
+    out = units[0].algebra.one()
+    for gen, exp in w.blocks:
+        out = out * _repeated_power(units[gen], exp)
+    return out
+
+
+@pytest.mark.parametrize("name", ["F3[S3]", "M2(F3)"])
+def test_word_images_match_letter_products(name):
+    rng = random.Random(62)
+    if name == "F3[S3]":
+        A = group_algebra(symmetric_group(3), F3)
+        units = [A.basis(i) for i in rng.sample(range(1, A.dim), 3)]  # group elements
+    else:
+        A = matrix2_algebra(F3)
+        units = [next(a for a in iter(lambda: A.random_element(rng), None) if a.is_unit())
+                 for _ in range(3)]
+    words = set(words_of_weight_at_most(4))
+    while len(words) < 200:
+        words.add(Word.from_blocks((rng.randrange(3), rng.choice([-3, -2, -1, 1, 2, 3]))
+                                   for _ in range(rng.randint(1, 4))))
+    # Sorted by blocks, a word's block prefixes come before it: ascending
+    # order extends cached prefixes, descending order starts each evaluation
+    # cold and then finds shorter words already cached.
+    ordered = sorted(words, key=Word.sort_key)
+    expected = {w: _letter_product(units, w) for w in ordered}
+    for order in (ordered, ordered[::-1]):
+        images = WordImages(units)
+        for w in order:
+            assert images(w) == expected[w], (name, str(w))
+    # The homomorphism laws, on the warm cache of the last pass.
+    for _ in range(300):
+        u, v = rng.choice(ordered), rng.choice(ordered)
+        assert images(u * v) == images(u) * images(v), (name, str(u), str(v))
+        assert images(u.inv()) * images(u) == A.one(), (name, str(u))
+    terms = [(rng.choice(ordered), F3(rng.randint(1, 2))) for _ in range(20)]
+    total = A.zero()
+    for w, c in terms:
+        total = total + expected[w].scale(c)
+    assert WordImages(units).evaluate(terms) == total
+    assert WordImages(units).evaluate([]) == A.zero()
 
 
 # K[x]/(x^2) as a structure-constant file
@@ -223,6 +268,35 @@ def test_group_file_roundtrip(tmp_path):
     g = load_group(str(path))
     assert g.order == 6
     assert not g.is_abelian
+
+
+# Malformed structure-constant and group files, with the line at fault.
+MALFORMED_FILES = [
+    ("alg", "algebra\ndim x\nunity 1\n", 2),
+    ("alg", "algebra\ndim -1\nunity\n", 2),
+    ("alg", "algebra\ndim 2\nunity 1 0\nsc 0 0 5 1\n", 4),
+    ("alg", "algebra\ndim 2\nunity 1 0\nsc 0 0 0\n", 4),
+    ("alg", "algebra\ndim 2\nunity 1 0\nsc -1 0 0 1\n", 4),
+    ("alg", "algebra\nsc 0 0 2 1\ndim 2\nunity 1 0\n", 2),
+    ("alg", "algebra\ndim 2\nlabel 2 x\nunity 1 0\n", 3),
+    ("alg", "algebra\ndim 2\nlabel 0\nunity 1 0\n", 3),
+    ("grp", "perm-group\ndegree\ngen 1 0\n", 2),
+    ("grp", "perm-group\ndegree 2\ngen 1 x\n", 3),
+]
+
+
+@pytest.mark.parametrize("kind, text, lineno", MALFORMED_FILES)
+def test_malformed_file_names_its_line(tmp_path, capsys, kind, text, lineno):
+    from lpifc.cli import main
+
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=rf"\(at offset {lineno}\)$"):
+        load_algebra(str(path), F3) if kind == "alg" else load_group(str(path))
+    flag = "--algebra-file" if kind == "alg" else "--group-file"
+    assert main(["grpalg", flag, str(path), "--field", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"(at offset {lineno})\n")
 
 
 def test_invalid_structure_constants_rejected():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpifc.errors import ParseError, ZeroPolynomial
+from lpifc.errors import InvalidParameter, ParseError, ZeroPolynomial
 from lpifc.exactalg import Field, scalar_mat, scalar_mat_is_zero
 from lpifc.fcrep import eval_laurent, unit_pair
 from lpifc.laurent import (
@@ -20,7 +20,7 @@ from lpifc.laurent import (
     table_leading_term,
 )
 from lpifc.search import enum_words
-from lpifc.words import Letter, Word, parse_word, word_invariants
+from lpifc.words import X_GEN, Y_GEN, Letter, Word, parse_word, word_invariants
 
 Q = Field(0)
 F2 = Field(2)
@@ -263,6 +263,31 @@ def test_reduce_preserves_nonzeroness_random():
             terms[w] = Q(rng.choice([-2, -1, 1, 2, 3]))
         f = LaurentPoly(Q, terms)
         assert reduce_to_two_vars(f, nvars=nvars).is_zero == f.is_zero
+
+
+def test_reduce_matches_letterwise_substitution():
+    # x_g^e -> X^(g+1) * Y^e * X^-(g+1), substituted block by block and
+    # multiplied left to right, against the word evaluation of reduce.
+    rng = random.Random(19)
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        terms = [
+            (Word.from_blocks((rng.randrange(nvars), rng.choice([-3, -2, -1, 1, 2, 3]))
+                              for _ in range(rng.randint(0, 4))), Q(rng.randint(-3, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        expected = []
+        for w, c in terms:
+            img = Word.identity()
+            for g, e in w.blocks:
+                img = img * Word(((X_GEN, g + 1), (Y_GEN, e), (X_GEN, -(g + 1))))
+            expected.append((img, c))
+        assert reduce_to_two_vars(LaurentPoly(Q, terms), nvars=nvars) == LaurentPoly(Q, expected)
+
+
+def test_reduce_rejects_fewer_variables_than_used():
+    with pytest.raises(InvalidParameter):
+        reduce_to_two_vars(parse_laurent("X*Y - Y*X", Q), nvars=1)
 
 
 def test_parse_zero_denominator_over_finite_field():

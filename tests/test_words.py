@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lpifc.errors import IdentityWord, ParseError
+from lpifc import words
+from lpifc.errors import IdentityWord, InternalError, ParseError
 from lpifc.words import (
     CUMULUS_ONE,
     Letter,
@@ -132,6 +133,14 @@ def test_factor_case_rule_for_xinv_y_head():
 def test_factor_identity_rejected():
     with pytest.raises(IdentityWord):
         factor_cumulus_one(Word.identity())
+
+
+def test_factor_termination_guard_signals_a_bug(monkeypatch):
+    # A wrong head factor never reaches the identity; the guard reports it
+    # as an InternalError, the error class that signals a bug.
+    monkeypatch.setattr(words, "_head_factor", lambda w: W_X)
+    with pytest.raises(InternalError):
+        factor_cumulus_one(W_Y)
 
 
 def enum_words_upto(c_max):
