@@ -12,11 +12,17 @@ class UsageError(ValueError):
 
 
 class ParseError(UsageError):
-    """Malformed expression text; carries the byte offset of the failure."""
+    """Malformed input text: an expression, with the character offset of the
+    failure, or an input file, with the line at fault (neither when the whole
+    file is at fault)."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+    def __init__(self, message: str, offset: int | None = None, *, line: int | None = None):
+        if offset is not None:
+            message += f" (at offset {offset})"
+        elif line is not None:
+            message += f" (at line {line})"
+        super().__init__(message)
+        self.offset, self.line = offset, line
 
 
 class ZeroModulus(UsageError):

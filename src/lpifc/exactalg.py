@@ -23,6 +23,7 @@ from .errors import (
     SingularMatrix,
     ZeroModulus,
 )
+from .parsing import render_terms
 
 #: Degree of the zero polynomial.  float("-inf") keeps deg comparisons and the
 #: identity deg(pq) = deg p + deg q total.
@@ -419,23 +420,8 @@ class UniPoly:
         return hash((self.field.p, self._c))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self._c) - 1, -1, -1):
-            c = self._c[k]
-            if not c:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                t = "T" if k == 1 else f"T^{k}"
-                body = t if c == 1 else (f"-{t}" if c == -1 and self.field.p == 0 else f"{c}*{t}")
-            parts.append(body)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        terms = ((k, c) for k, c in reversed(list(enumerate(self._c))) if c)
+        return render_terms(("" if k == 0 else "T" if k == 1 else f"T^{k}", c) for k, c in terms)
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"

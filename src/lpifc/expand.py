@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import AllZero, DimensionMismatch, InvalidParameter
 from .exactalg import Field, FieldElem
 from .laurent import LaurentPoly
-from .parsing import sparse_sum
+from .parsing import render_terms, sparse_sum
 from .words import Word, WordImages
 
 Monomial = tuple[int, ...]
@@ -107,28 +107,10 @@ class NCPoly:
         return hash((self.field.p, self.nvars, frozenset((m, c.v) for m, c in self.terms.items())))
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
         names = _var_names(self.nvars)
         # Graded-lexicographic monomial order for deterministic output.
         mons = sorted(self.terms, key=lambda m: (len(m), m))
-        parts = []
-        for mon in mons:
-            c = self.terms[mon]
-            body = "*".join(names[v] for v in mon) if mon else "1"
-            if mon and c.v == 1:
-                text = body
-            elif mon and c.v == -1 and self.field.p == 0:
-                text = f"-{body}"
-            elif mon:
-                text = f"{c}*{body}"
-            else:
-                text = str(c)
-            parts.append(text)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return render_terms(("*".join(names[v] for v in mon), self.terms[mon].v) for mon in mons)
 
     def __str__(self) -> str:
         return self.render()

@@ -562,12 +562,12 @@ def load_algebra(path: str, field: Field) -> FinAlgebra:
             triples.append((i, j, k, _parse_scalar(c, field, lineno)))
             indexed.append((lineno, i, j, k))
         else:
-            raise ParseError(f"unknown directive {parts[0]!r} in algebra file", lineno)
+            raise ParseError(f"unknown directive {parts[0]!r} in algebra file", line=lineno)
     if dim is None or unity is None:
-        raise ParseError("algebra file needs 'dim' and 'unity' lines", 0)
+        raise ParseError("algebra file needs 'dim' and 'unity' lines")
     for lineno, *indices in indexed:
         if max(indices) >= dim:
-            raise ParseError(f"basis index outside [0, {dim})", lineno)
+            raise ParseError(f"basis index outside [0, {dim})", line=lineno)
     sc = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in triples:
         sc[i][j][k] = sc[i][j][k] + c
@@ -594,9 +594,9 @@ def load_group(path: str) -> FiniteGroup:
         elif parts[0] == "gen":
             gens.append(tuple(_int_fields(parts, lineno, len(parts) - 1)))
         else:
-            raise ParseError(f"unknown directive {parts[0]!r} in group file", lineno)
+            raise ParseError(f"unknown directive {parts[0]!r} in group file", line=lineno)
     if degree is None or not gens:
-        raise ParseError("group file needs 'degree' and at least one 'gen' line", 0)
+        raise ParseError("group file needs 'degree' and at least one 'gen' line")
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidParameter(f"generator {g} is not a permutation of degree {degree}")
@@ -621,10 +621,19 @@ def load_group(path: str) -> FiniteGroup:
 
 def _directive_lines(path: str, header: str) -> list[tuple[int, list[str]]]:
     """The line number and fields of each directive line of an input file;
-    comments, blank lines and the header line are left out."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(fh, 1)]
-    return [(lineno, parts) for lineno, parts in lines if parts and parts[0] != header]
+    comments, blank lines and the header line are left out.  A line that is
+    not UTF-8 text names its number."""
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    lines = []
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            parts = raw.decode("utf-8").split("#", 1)[0].split()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte 0x{raw[exc.start]:02x} is not UTF-8 text", line=lineno) from None
+        if parts and parts[0] != header:
+            lines.append((lineno, parts))
+    return lines
 
 
 def _int_fields(parts: list[str], lineno: int, ints: int, rest: int = 0) -> list:
@@ -632,10 +641,10 @@ def _int_fields(parts: list[str], lineno: int, ints: int, rest: int = 0) -> list
     ``rest`` tokens as they are.  A missing or bad field names the line."""
     fields = parts[1:]
     if len(fields) < ints + rest:
-        raise ParseError(f"too few fields for {parts[0]!r}: expected {ints + rest}", lineno)
+        raise ParseError(f"too few fields for {parts[0]!r}: expected {ints + rest}", line=lineno)
     bad = [tok for tok in fields[:ints] if not tok.isdecimal()]
     if bad:
-        raise ParseError(f"{parts[0]!r} takes non-negative integers, got {bad[0]!r}", lineno)
+        raise ParseError(f"{parts[0]!r} takes non-negative integers, got {bad[0]!r}", line=lineno)
     return [int(tok) for tok in fields[:ints]] + fields[ints : ints + rest]
 
 
@@ -646,7 +655,7 @@ def _parse_scalar(tok: str, field: Field, lineno: int) -> FieldElem:
             return field.from_fraction(int(num), int(den))
         return field(int(tok))
     except ValueError as exc:
-        raise ParseError(f"bad scalar {tok!r}: {exc}", lineno) from exc
+        raise ParseError(f"bad scalar {tok!r}: {exc}", line=lineno) from exc
 
 
 # -- group algebra specifics ---------------------------------------------------
@@ -765,6 +774,8 @@ def standard_poly(k: int, elements: Sequence[AlgebraElem]) -> AlgebraElem:
     _check_arity(k)
     if len(elements) != k:
         raise ArityMismatch(f"S_{k} needs exactly {k} elements, got {len(elements)}")
+    if math.factorial(k) > PERMUTATION_LIMIT:
+        raise TooLargeForExhaustive(f"{k}! permutation products exceed the bound {PERMUTATION_LIMIT}")
     return WordImages(elements).evaluate(
         (Word(tuple((i, 1) for i in perm)), _permutation_sign(perm))
         for perm in itertools.permutations(range(k))
@@ -778,6 +789,8 @@ ENUM_LIMIT = 2**20
 TABLE_LIMIT = 2048
 # Tuples an S_k check may examine, exhaustive or sampled.
 TUPLE_LIMIT = 2**24
+# Permutation products S_k of given elements may sum: 8!.
+PERMUTATION_LIMIT = 40320
 # Square-zero pairs the exhaustive p1 scan without index tables may examine.
 PAIR_LIMIT = 2**22
 # Elements structural_predicates enumerates for its idempotents; above it,

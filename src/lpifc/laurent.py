@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .errors import InvalidLetter, InvalidParameter, ParseError, ZeroPolynomial
 from .exactalg import Field, FieldElem, ScalarMat, scalar_mat
-from .parsing import TokenStream, parse_terms, read_exponent, sparse_sum
+from .parsing import TokenStream, parse_terms, read_exponent, render_terms, sparse_sum
 from .words import (
     Letter,
     Word,
@@ -112,24 +112,9 @@ class LaurentPoly:
         return hash((self.field.p, tuple(sorted(((w, c.v) for w, c in self.terms.items()), key=lambda t: t[0].sort_key()))))
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for w in self.support():
-            c = self.terms[w]
-            if w.is_identity:
-                body = str(c)
-            elif c.v == 1:
-                body = w.render()
-            elif c.v == -1 and self.field.p == 0:
-                body = f"-{w.render()}"
-            else:
-                body = f"{c}*{w.render()}"
-            parts.append(body)
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return render_terms(
+            ("" if w.is_identity else w.render(), self.terms[w].v) for w in self.support()
+        )
 
     def __str__(self) -> str:
         return self.render()

@@ -1,5 +1,6 @@
-"""The expression grammars: a shared tokenizer, the signed-term grammar, and
-the sparse sum that every parsed or computed polynomial is built through.
+"""The expression grammars: a shared tokenizer, the signed-term grammar read
+and printed, and the sparse sum that every parsed or computed polynomial is
+built through.
 
 Laurent polynomials, expressions in the square-zero generators and
 one-variable polynomials are all sums of signed terms; a term is a product of
@@ -7,8 +8,9 @@ coefficient literals (``3`` or ``3/4``) and named factors, joined by ``*`` or
 by juxtaposition.  :func:`parse_terms` owns that grammar once.  The three
 inputs differ only in the factor alphabet, which the caller passes as a
 reader: ``X``/``Y`` with integer exponents, the letters ``a``/``b``, or ``T``
-with non-negative exponents.  Words (:func:`lpifc.words.parse_word`) have a
-grammar of their own, with no coefficients and no signs.
+with non-negative exponents.  :func:`render_terms` prints such a sum back.
+Words (:func:`lpifc.words.parse_word`) have a grammar of their own, with no
+coefficients and no signs.
 
 Tokens: integers, single-letter names, and the punctuation ``* ^ + - /``.
 Whitespace separates tokens and is otherwise ignored.  Every token carries the
@@ -150,6 +152,19 @@ def parse_terms(
             raise ts.error("term cannot start with '*'" if at_star else "expected a term")
         terms.append((atoms, coeff))
     return terms
+
+
+def render_terms(terms: Iterable[tuple[str, object]]) -> str:
+    """Print ``(body, coefficient)`` pairs in order as a signed sum, the
+    inverse of :func:`parse_terms`.  The constant term's body is ``""``; a
+    coefficient is a nonzero plain number, so -1 occurs only over Q."""
+    out = ""
+    for body, c in terms:
+        part = (body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}") if body else str(c)
+        if out:
+            part = f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        out += part
+    return out or "0"
 
 
 def sparse_sum(pairs: Iterable[tuple[Hashable, object]]) -> dict:

@@ -16,32 +16,27 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameter, check_count
-from .exactalg import Field, scalar_mat_is_zero
+from .exactalg import Field, render_scalar_mat, scalar_mat_is_zero
 from .fcrep import UnitPair, eval_laurent, eval_word, unit_pair
 from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, table_leading_term
-from .words import (
-    CUMULUS_ONE,
-    Word,
-    word_invariants,
-    words_of_weight_at_most,
-)
+from .words import CUMULUS_ONE, Word, word_invariants, words_of_weight_at_most
 
 
 @dataclass
 class CampaignReport:
     """Uniform result record for every campaign.
 
-    ``failed`` always equals ``len(failures)``; each failure carries enough
-    input data to reproduce the check.
+    ``failed`` always equals ``len(failures)`` and ``passed`` equals
+    ``checked - failed``; each failure carries enough input data to reproduce
+    the check.
     """
 
     campaign: str
     params: dict
     checked: int
-    passed: int
     failures: list[dict] = dc_field(default_factory=list)
     seed: int | None = None
     duration_ms: float = 0.0
@@ -49,6 +44,10 @@ class CampaignReport:
     @property
     def failed(self) -> int:
         return len(self.failures)
+
+    @property
+    def passed(self) -> int:
+        return self.checked - self.failed
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -66,6 +65,21 @@ class CampaignReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def _campaign(
+    name: str, params: dict, seed: int | None, start: float, outcomes: Iterable[dict | None]
+) -> CampaignReport:
+    """Run a campaign's checks, one per item of ``outcomes``: None when the
+    check passed, else the failure record with the inputs that reproduce it.
+    The duration is timed from ``start``."""
+    checked, failures = 0, []
+    for outcome in outcomes:
+        checked += 1
+        if outcome is not None:
+            failures.append(outcome)
+    duration_ms = (time.perf_counter() - start) * 1000
+    return CampaignReport(name, params, checked, failures, seed, duration_ms)
 
 
 def enum_words(c_max: int) -> Iterator[Word]:
@@ -107,37 +121,25 @@ def verify_tables(c_max: int, field: Field) -> CampaignReport:
     twice the cumulus, and its leading coefficient is the sign times the
     (beginning, end) table entry."""
     start = time.perf_counter()
-    up = unit_pair("primary", field)
-    checked = passed = 0
-    failures: list[dict] = []
-    for w in enum_words(c_max):
-        invs = word_invariants(w)
-        img = eval_word(w, up)
-        checked += 1
-        expected = table_leading_term(invs.B, invs.E, field)
-        expected = tuple(tuple(field(invs.sgn) * e for e in row) for row in expected)
-        ok = img.degree == 2 * invs.C and img.coeff_at(2 * invs.C) == expected
-        if ok:
-            passed += 1
-        else:
-            failures.append(
-                {
-                    "word": w.render(),
-                    "cumulus": invs.C,
-                    "degree": None if img.is_zero else int(img.degree),
-                    "expected_leading": [[str(e) for e in row] for row in expected],
-                    "actual_leading": [[str(e) for e in row] for row in img.coeff_at(2 * invs.C)],
-                }
-            )
-    return CampaignReport(
-        campaign="verify-tables",
-        params={"c_max": c_max, "field": repr(field)},
-        checked=checked,
-        passed=passed,
-        failures=failures,
-        seed=None,
-        duration_ms=(time.perf_counter() - start) * 1000,
-    )
+
+    def outcomes():
+        up = unit_pair("primary", field)
+        for w in enum_words(c_max):
+            invs = word_invariants(w)
+            img = eval_word(w, up)
+            expected = table_leading_term(invs.B, invs.E, field)
+            expected = tuple(tuple(field(invs.sgn) * e for e in row) for row in expected)
+            ok = img.degree == 2 * invs.C and img.coeff_at(2 * invs.C) == expected
+            yield None if ok else {
+                "word": w.render(),
+                "cumulus": invs.C,
+                "degree": None if img.is_zero else int(img.degree),
+                "expected_leading": render_scalar_mat(expected),
+                "actual_leading": render_scalar_mat(img.coeff_at(2 * invs.C)),
+            }
+
+    params = {"c_max": c_max, "field": repr(field)}
+    return _campaign("verify-tables", params, None, start, outcomes())
 
 
 def random_laurent(
@@ -163,37 +165,25 @@ def verify_obstruction_consistency(
     """Random polynomials: the obstruction matrix equals the coefficient of
     T^(2*cumulus) of the primary-pair evaluation, exactly."""
     start = time.perf_counter()
-    rng = Random(seed)
-    pool = list(enum_words(c_max))
-    up = unit_pair("primary", field)
-    checked = passed = 0
-    failures: list[dict] = []
-    for _ in range(sample_count):
-        f = random_laurent(rng, field, pool)
-        c = max_cumulus(f)
-        lhs = eval_laurent(f, up).coeff_at(2 * c)
-        rhs = obstruction_matrix(f)
-        checked += 1
-        if lhs == rhs:
-            passed += 1
-        else:
-            failures.append(
-                {
-                    "input": f.render(),
-                    "cumulus": c,
-                    "evaluation_coeff": [[str(e) for e in row] for row in lhs],
-                    "obstruction": [[str(e) for e in row] for row in rhs],
-                }
-            )
-    return CampaignReport(
-        campaign="verify-obstruction-consistency",
-        params={"sample_count": sample_count, "c_max": c_max, "field": repr(field)},
-        checked=checked,
-        passed=passed,
-        failures=failures,
-        seed=seed,
-        duration_ms=(time.perf_counter() - start) * 1000,
-    )
+
+    def outcomes():
+        rng = Random(seed)
+        pool = list(enum_words(c_max))
+        up = unit_pair("primary", field)
+        for _ in range(sample_count):
+            f = random_laurent(rng, field, pool)
+            c = max_cumulus(f)
+            lhs = eval_laurent(f, up).coeff_at(2 * c)
+            rhs = obstruction_matrix(f)
+            yield None if lhs == rhs else {
+                "input": f.render(),
+                "cumulus": c,
+                "evaluation_coeff": render_scalar_mat(lhs),
+                "obstruction": render_scalar_mat(rhs),
+            }
+
+    params = {"sample_count": sample_count, "c_max": c_max, "field": repr(field)}
+    return _campaign("verify-obstruction-consistency", params, seed, start, outcomes())
 
 
 def _coefficient_pairs(field: Field, coeff_samples: int, rng: Random):
@@ -244,48 +234,28 @@ def support3_campaign(
     start = time.perf_counter()
     if fields is None:
         fields = [Field(2), Field(3), Field(0)]
-    rng = Random(seed)
-    checked = passed = 0
-    failures: list[dict] = []
-    for field in fields:
-        words = list(enum_words(c_max))
-        pairs = _coefficient_pairs(field, coeff_samples, rng)
-        units = {
-            "primary": unit_pair("primary", field),
-            "alternate": unit_pair("alternate", field),
-            "swapped": unit_pair("swapped", field),
-        }
+
+    def outcomes():
+        rng = Random(seed)
         one = Word.identity()
-        for i, w1 in enumerate(words):
-            for w2 in words[i + 1 :]:
-                for a1, a2 in pairs:
-                    f = LaurentPoly(field, {one: field.one, w1: a1, w2: a2})
-                    checked += 1
-                    reason = falsify_three_term(f, w1, units)
-                    if reason is not None:
-                        passed += 1
-                    else:
-                        failures.append(
-                            {
-                                "field": repr(field),
-                                "input": f.render(),
-                                "w1": w1.render(),
-                                "w2": w2.render(),
-                            }
-                        )
-    return CampaignReport(
-        campaign="support3",
-        params={
-            "c_max": c_max,
-            "fields": [repr(f) for f in fields],
-            "coeff_samples": coeff_samples,
-        },
-        checked=checked,
-        passed=passed,
-        failures=failures,
-        seed=seed,
-        duration_ms=(time.perf_counter() - start) * 1000,
-    )
+        for field in fields:
+            words = list(enum_words(c_max))
+            pairs = _coefficient_pairs(field, coeff_samples, rng)
+            units = {kind: unit_pair(kind, field) for kind in ("primary", "alternate", "swapped")}
+            for i, w1 in enumerate(words):
+                for w2 in words[i + 1 :]:
+                    for a1, a2 in pairs:
+                        f = LaurentPoly(field, {one: field.one, w1: a1, w2: a2})
+                        falsified = falsify_three_term(f, w1, units) is not None
+                        yield None if falsified else {
+                            "field": repr(field),
+                            "input": f.render(),
+                            "w1": w1.render(),
+                            "w2": w2.render(),
+                        }
+
+    params = {"c_max": c_max, "fields": [repr(f) for f in fields], "coeff_samples": coeff_samples}
+    return _campaign("support3", params, seed, start, outcomes())
 
 
 def cprime_bound_campaign(
@@ -300,40 +270,24 @@ def cprime_bound_campaign(
     start = time.perf_counter()
     if field is None:
         field = Field(0)
-    up = unit_pair("alternate", field)
-    rng = Random(seed)
-    checked = passed = 0
-    failures: list[dict] = []
-    pool = []
-    for w in words_of_weight_at_most(c_max):
-        pool.append(w)
-        bound = 2 * w.weight
-        img = eval_word(w, up)
-        checked += 1
-        if img.degree <= bound:
-            passed += 1
-        else:
-            failures.append(
-                {"word": w.render(), "weight": w.weight, "degree": int(img.degree)}
-            )
-    nontrivial = [w for w in pool if not w.is_identity]
-    for _ in range(samples):
-        f = random_laurent(rng, field, nontrivial)
-        bound = 2 * max(w.weight for w in f.terms)
-        img = eval_laurent(f, up)
-        checked += 1
-        if img.degree <= bound:
-            passed += 1
-        else:
-            failures.append(
-                {"input": f.render(), "weight_bound": bound, "degree": int(img.degree)}
-            )
-    return CampaignReport(
-        campaign="cprime-bound",
-        params={"c_max": c_max, "field": repr(field), "samples": samples},
-        checked=checked,
-        passed=passed,
-        failures=failures,
-        seed=seed,
-        duration_ms=(time.perf_counter() - start) * 1000,
-    )
+
+    def outcomes():
+        up = unit_pair("alternate", field)
+        rng = Random(seed)
+        pool = list(words_of_weight_at_most(c_max))
+        for w in pool:
+            img = eval_word(w, up)
+            yield None if img.degree <= 2 * w.weight else {
+                "word": w.render(), "weight": w.weight, "degree": int(img.degree)
+            }
+        nontrivial = [w for w in pool if not w.is_identity]
+        for _ in range(samples):
+            f = random_laurent(rng, field, nontrivial)
+            bound = 2 * max(w.weight for w in f.terms)
+            img = eval_laurent(f, up)
+            yield None if img.degree <= bound else {
+                "input": f.render(), "weight_bound": bound, "degree": int(img.degree)
+            }
+
+    params = {"c_max": c_max, "field": repr(field), "samples": samples}
+    return _campaign("cprime-bound", params, seed, start, outcomes())

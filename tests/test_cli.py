@@ -34,7 +34,8 @@ from lpifc.cli import main
 # input files, `grpalg --algebra m2` and `grpalg` with two algebra flags were
 # recorded once those cases became usage errors or reachable (each ended in
 # a traceback before). The last one records no stderr: argparse wraps its
-# usage line to the terminal width.
+# usage line to the terminal width. The `standard-poly --k 9 --elements`
+# rejection was recorded once k! became bounded.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]

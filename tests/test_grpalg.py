@@ -270,7 +270,8 @@ def test_group_file_roundtrip(tmp_path):
     assert not g.is_abelian
 
 
-# Malformed structure-constant and group files, with the line at fault.
+# Malformed structure-constant and group files, with the line at fault; a
+# bytes entry is written as it is.
 MALFORMED_FILES = [
     ("alg", "algebra\ndim x\nunity 1\n", 2),
     ("alg", "algebra\ndim -1\nunity\n", 2),
@@ -282,6 +283,7 @@ MALFORMED_FILES = [
     ("alg", "algebra\ndim 2\nlabel 0\nunity 1 0\n", 3),
     ("grp", "perm-group\ndegree\ngen 1 0\n", 2),
     ("grp", "perm-group\ndegree 2\ngen 1 x\n", 3),
+    ("alg", b"algebra\ndim 2\nlabel 0 \xff\nunity 1 0\n", 3),
 ]
 
 
@@ -290,13 +292,22 @@ def test_malformed_file_names_its_line(tmp_path, capsys, kind, text, lineno):
     from lpifc.cli import main
 
     path = tmp_path / f"bad.{kind}"
-    path.write_text(text)
-    with pytest.raises(ParseError, match=rf"\(at offset {lineno}\)$"):
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
+    with pytest.raises(ParseError, match=rf"\(at line {lineno}\)$"):
         load_algebra(str(path), F3) if kind == "alg" else load_group(str(path))
     flag = "--algebra-file" if kind == "alg" else "--group-file"
     assert main(["grpalg", flag, str(path), "--field", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(f"(at offset {lineno})\n")
+    assert err.startswith("error: ") and err.endswith(f"(at line {lineno})\n")
+
+
+@pytest.mark.parametrize("kind, text", [("alg", "algebra\ndim 2\n"), ("grp", "perm-group\ndegree 2\n")])
+def test_whole_file_error_names_no_position(tmp_path, kind, text):
+    path = tmp_path / f"short.{kind}"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=r" lines?$") as info:
+        load_algebra(str(path), F3) if kind == "alg" else load_group(str(path))
+    assert (info.value.offset, info.value.line) == (None, None)
 
 
 def test_invalid_structure_constants_rejected():
@@ -377,6 +388,18 @@ def test_standard_poly_arity():
     A = matrix2_algebra(F2)
     with pytest.raises(ArityMismatch):
         standard_poly(3, [A.one()])
+
+
+def test_standard_poly_permutation_bound(monkeypatch):
+    A = matrix2_algebra(F3)
+    with pytest.raises(TooLargeForExhaustive, match=r"^9! permutation products exceed the bound 40320$"):
+        standard_poly(9, [A.basis(i % 4) for i in range(9)])
+    with pytest.raises(ArityMismatch):  # the arity is checked first
+        standard_poly(9, [A.one()])
+    monkeypatch.setattr(grpalg_mod, "PERMUTATION_LIMIT", 6)
+    assert standard_poly(3, [A.basis(0), A.basis(1), A.basis(2)]) is not None
+    with pytest.raises(TooLargeForExhaustive):
+        standard_poly(4, [A.basis(i) for i in range(4)])
 
 
 def test_exhaustive_guard():

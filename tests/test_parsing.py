@@ -196,6 +196,24 @@ def test_unipoly_render_parses_back(p):
     assert UniPoly.parse(str(p), p.field) == p
 
 
+def nc_polys_in_laurent_names(field):
+    """NCPoly in one or two variables, whose names X, Y parse as Laurent."""
+    def polys(nvars):
+        mons = st.lists(st.integers(0, nvars - 1), max_size=3).map(tuple)
+        return st.lists(st.tuples(mons, coefficients(field)), max_size=4).map(
+            lambda pairs: NCPoly(field, nvars, pairs)
+        )
+
+    return st.integers(1, 2).flatmap(polys)
+
+
+@PROPERTY_SETTINGS
+@given(fields.flatmap(nc_polys_in_laurent_names))
+def test_ncpoly_render_parses_back_as_laurent(p):
+    as_words = [(Word.from_blocks((v, 1) for v in mon), c) for mon, c in p.terms.items()]
+    assert parse_laurent(p.render(), p.field) == LaurentPoly(p.field, as_words)
+
+
 @PROPERTY_SETTINGS
 @given(_with_field(ab_dicts))
 def test_ab_render_parses_back(case):
@@ -237,6 +255,52 @@ def test_laurent_constructor_is_the_sum_of_its_terms(case):
     for w, c in pairs:
         total = total + LaurentPoly(field, {w: c})
     assert LaurentPoly(field, pairs) == total
+
+
+# -- render_terms ---------------------------------------------------------------
+
+# (field, {degree of the one variable: coefficient}, rendered with V for it)
+RENDERED = [
+    (Q, {1: -1}, "-V"),
+    (Q, {1: Fraction(-1, 2)}, "-1/2*V"),
+    (Q, {1: Fraction(1, 2)}, "1/2*V"),
+    (Q, {0: -3}, "-3"),
+    (Q, {}, "0"),
+    (Field(5), {1: 4}, "4*V"),
+    (Field(5), {1: -1}, "4*V"),
+]
+
+# Each printer with its variable name and its term order: UniPoly by degree
+# descending, LaurentPoly and NCPoly constant first.
+PRINTERS = {
+    "UniPoly": ("T", lambda field, d: str(UniPoly(field, [d.get(k, 0) for k in range(3)]))),
+    "LaurentPoly": (
+        "X",
+        lambda field, d: LaurentPoly(field, {Word.generator(0, k): c for k, c in d.items()}).render(),
+    ),
+    "NCPoly": ("X", lambda field, d: NCPoly(field, 1, {(0,) * k: c for k, c in d.items()}).render()),
+}
+
+
+@pytest.mark.parametrize("printer", PRINTERS)
+@pytest.mark.parametrize("field, coeffs, expected", RENDERED)
+def test_printers_share_the_signed_sum_form(printer, field, coeffs, expected):
+    name, render = PRINTERS[printer]
+    assert render(field, coeffs) == expected.replace("V", name)
+
+
+def test_printers_keep_their_term_order():
+    coeffs = {0: 1, 1: 1, 2: -3}
+    assert PRINTERS["UniPoly"][1](Q, coeffs) == "-3*T^2 + T + 1"
+    assert PRINTERS["LaurentPoly"][1](Q, coeffs) == "1 + X - 3*X^2"
+    assert PRINTERS["NCPoly"][1](Q, coeffs) == "1 + X - 3*X*X"
+
+
+def test_render_terms_joins_on_the_sign_of_each_term():
+    terms = [("X", -1), ("", Fraction(-1, 2)), ("Y", 1), ("Y^2", 3), ("X*Y", Fraction(-2, 3))]
+    assert parsing.render_terms(terms) == "-X - 1/2 + Y + 3*Y^2 - 2/3*X*Y"
+    assert parsing.render_terms([]) == "0"
+    assert parsing.render_terms([("", 5)]) == "5"
 
 
 # -- sparse_sum ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 three-term-support campaign, degree bounds, and report determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from lpifc.search import (
     cprime_bound_campaign,
     enum_words,
     enum_words_oracle,
+    falsify_three_term,
     support3_campaign,
     verify_obstruction_consistency,
     verify_tables,
@@ -176,7 +178,85 @@ def test_report_json_deterministic():
 
 
 def test_failures_reported():
-    report = CampaignReport(
-        campaign="demo", params={}, checked=2, passed=1, failures=[{"case": "x"}]
-    )
+    report = CampaignReport(campaign="demo", params={}, checked=2, failures=[{"case": "x"}])
     assert report.failed == 1
+    assert report.passed == 1
+
+
+# -- the failure path ------------------------------------------------------------------------
+#
+# No correct campaign fails, so each one is driven into failures by replacing
+# a name it looks up in lpifc.search.  The records, counts and the CLI text of
+# a failing verify-tables run were recorded with one hand-written loop per
+# campaign (commit 2bcba82), before the campaigns shared one driver.
+
+FAILURE_RECORDS = json.loads(
+    (Path(__file__).parent / "golden_campaign_failures.json").read_text()
+)
+
+
+def _wrong_routes() -> dict:
+    """For each campaign, the names in lpifc.search to replace and their wrong
+    routes, each failing some checks and passing others."""
+    from lpifc.exactalg import Mat2Poly
+    from lpifc.fcrep import eval_laurent, eval_word
+    from lpifc.laurent import obstruction_matrix
+
+    x3 = Word.generator(0, 3)
+
+    def word_image(w, up):
+        if w == parse_word("X^2"):
+            return Mat2Poly.zero(up.u.field)  # a failure with no degree
+        if w.blocks and w.blocks[0][0] == 1:
+            return eval_word(w.inv(), up)  # wrong leading term or degree
+        if w.weight % 2 == 0:
+            return eval_word(w * x3, up)  # past the C' degree bound
+        return eval_word(w, up)
+
+    return {
+        "verify-tables": {"eval_word": word_image},
+        "verify-obstruction-consistency": {
+            "obstruction_matrix": lambda f: obstruction_matrix(f.scale(1 + len(f.terms) % 2))
+        },
+        "support3": {
+            "falsify_three_term": lambda f, w1, units: (
+                None if w1 == parse_word("X") else falsify_three_term(f, w1, units)
+            )
+        },
+        "cprime-bound": {
+            "eval_word": word_image,
+            "eval_laurent": lambda f, up: eval_laurent(f.right_mul(x3), up),
+        },
+    }
+
+
+FAILING_RUNS = {
+    "verify-tables": lambda: verify_tables(2, Q),
+    "verify-obstruction-consistency": lambda: verify_obstruction_consistency(8, 2, Q, seed=3),
+    "support3": lambda: support3_campaign(c_max=1, fields=[F3, Q], coeff_samples=2, seed=4),
+    "cprime-bound": lambda: cprime_bound_campaign(2, Q, samples=6, seed=5),
+}
+
+
+def _break(monkeypatch, campaign: str) -> None:
+    from lpifc import search
+
+    for name, route in _wrong_routes()[campaign].items():
+        monkeypatch.setattr(search, name, route)
+
+
+@pytest.mark.parametrize("campaign", FAILING_RUNS)
+def test_campaign_failures_carry_their_inputs(monkeypatch, campaign):
+    _break(monkeypatch, campaign)
+    report = FAILING_RUNS[campaign]()
+    assert 0 < report.failed < report.checked
+    assert report.passed + report.failed == report.checked
+    assert report.to_dict() == FAILURE_RECORDS[campaign]
+
+
+def test_failing_verify_tables_cli_text(monkeypatch, capsys):
+    from lpifc.cli import main
+
+    _break(monkeypatch, "verify-tables")
+    assert main(["verify-tables", "--cmax", "2"]) == 1
+    assert capsys.readouterr().out == FAILURE_RECORDS["cli verify-tables --cmax 2"]
