@@ -61,10 +61,6 @@ class Field:
         self.p = p
 
     @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
     def is_finite(self) -> bool:
         return self.p != 0
 

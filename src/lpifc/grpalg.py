@@ -331,7 +331,7 @@ class AlgebraElem:
         """Inverse through the left-regular representation."""
         alg = self.algebra
         lmat = alg.left_mult_matrix(self.coeffs)
-        x = solve(alg.field, lmat, list(alg.unity))
+        x = solve(alg.field, lmat, list(alg.one().coeffs))
         if x is None:
             raise NotAUnit(f"{self} is not a unit")
         cand = AlgebraElem(alg, x)
@@ -363,37 +363,43 @@ class AlgebraElem:
 
 class FinAlgebra:
     """A unital associative algebra of finite dimension given by structure
-    constants: sc[i][j] is the coefficient vector of e_i * e_j.
+    constants as sparse rows: ``rows[i][j]`` is an iterable of (k, s) pairs
+    meaning e_i * e_j = sum of s * e_k.
 
-    At construction the constants are also kept as sparse rows of plain
-    numbers: ``_rows[i][j]`` holds the (k, s) pairs with s != 0.
+    The constants are kept once, as plain numbers: ``_rows[i][j]`` holds the
+    (k, s) pairs with s != 0, summed per k in increasing k.
     :meth:`_mul_raw` multiplies plain vectors over them; it is the one
     algebra product.
     """
 
-    __slots__ = ("field", "dim", "sc", "unity", "labels", "name", "group", "_rows", "_unity")
+    __slots__ = ("field", "dim", "labels", "name", "group", "_rows", "_unity")
 
-    def __init__(self, field: Field, sc, unity: Sequence, labels: Sequence[str] | None = None,
+    def __init__(self, field: Field, rows, unity: Sequence, labels: Sequence[str] | None = None,
                  name: str = "algebra", group: FiniteGroup | None = None, validate: bool = True):
-        d = len(sc)
+        d = len(rows)
         self.field = field
         self.dim = d
-        self.sc = tuple(tuple(tuple(field(c) for c in vec) for vec in row) for row in sc)
-        self.unity = tuple(field(c) for c in unity)
         self.labels = tuple(labels) if labels is not None else tuple(f"e{i}" for i in range(d))
         self.name = name
         self.group = group
-        if len(self.unity) != d or len(self.labels) != d:
+        if len(unity) != d or len(self.labels) != d:
             raise InvalidParameter("unity/label length must equal the dimension")
-        if any(len(row) != d or any(len(vec) != d for vec in row) for row in self.sc):
-            raise InvalidParameter("structure constant tensor must be dim^3")
-        self._rows = tuple(
-            tuple(tuple((k, s) for k, s in enumerate(self._plain(vec)) if s) for vec in row)
-            for row in self.sc
-        )
-        self._unity = self._plain(self.unity)
+        if any(len(row) != d for row in rows):
+            raise InvalidParameter("structure constants need dim rows of dim entries")
+        self._rows = tuple(tuple(self._sparse(pairs) for pairs in row) for row in rows)
+        self._unity = self._plain(unity)
         if validate:
             self._validate()
+
+    def _sparse(self, pairs) -> tuple:
+        """The (k, s) pairs summed per k as canonical plain numbers, zeros dropped."""
+        sums = {}
+        for k, s in pairs:
+            if not 0 <= k < self.dim:
+                raise InvalidParameter(f"basis index {k} outside [0, {self.dim})")
+            sums[k] = sums.get(k, 0) + self.field(s).v
+        ks = sorted(sums)
+        return tuple((k, s) for k, s in zip(ks, self._reduce(sums[k] for k in ks)) if s)
 
     def _reduce(self, cs) -> tuple:
         return tuple(_reduce(self.field.p, cs))
@@ -473,36 +479,19 @@ class FinAlgebra:
 
 
 def group_algebra(g: FiniteGroup, field: Field) -> FinAlgebra:
-    d = g.order
-    zero, one = field.zero, field.one
-    sc = [
-        [tuple(one if k == g.table[i][j] else zero for k in range(d)) for j in range(d)]
-        for i in range(d)
-    ]
-    unity = tuple(one if k == g.identity else zero for k in range(d))
+    rows = [[((k, 1),) for k in row] for row in g.table]
+    unity = [int(k == g.identity) for k in range(g.order)]
     # Associativity is inherited from the validated group table.
-    return FinAlgebra(field, sc, unity, labels=g.labels, name=f"{repr(field)}[{g.name}]",
+    return FinAlgebra(field, rows, unity, labels=g.labels, name=f"{repr(field)}[{g.name}]",
                       group=g, validate=False)
 
 
 def matrix2_algebra(field: Field) -> FinAlgebra:
-    labels = ("e11", "e12", "e21", "e22")
-    pos = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)}
-    zero, one = field.zero, field.one
-    sc = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            (a, b), (c, d) = pos[i], pos[j]
-            vec = [zero] * 4
-            if b == c:
-                for k, (x, y) in pos.items():
-                    if (x, y) == (a, d):
-                        vec[k] = one
-            row.append(tuple(vec))
-        sc.append(row)
-    unity = (one, zero, zero, one)
-    return FinAlgebra(field, sc, unity, labels=labels, name=f"M2({field!r})", validate=False)
+    # e_ab has index 2a + b; e_ab * e_cd = e_ad when b = c, else 0.
+    rows = [[((2 * (i // 2) + j % 2, 1),) if i % 2 == j // 2 else () for j in range(4)]
+            for i in range(4)]
+    return FinAlgebra(field, rows, (1, 0, 0, 1), labels=("e11", "e12", "e21", "e22"),
+                      name=f"M2({field!r})", validate=False)
 
 
 def square_zero_algebra(field: Field, nvars: int = 2) -> FinAlgebra:
@@ -510,21 +499,12 @@ def square_zero_algebra(field: Field, nvars: int = 2) -> FinAlgebra:
     variable, K[x,y]/(x^2,y^2) for two.  Basis = square-free monomials."""
     if nvars not in (1, 2):
         raise InvalidParameter("square-zero algebras are shipped for 1 or 2 variables")
-    masks = list(range(1 << nvars))
+    masks = range(1 << nvars)
     names = {0: "1", 1: "x", 2: "y", 3: "x*y"}
-    zero, one = field.zero, field.one
-    sc = []
-    for m1 in masks:
-        row = []
-        for m2 in masks:
-            vec = [zero] * len(masks)
-            if m1 & m2 == 0:
-                vec[m1 | m2] = one
-            row.append(tuple(vec))
-        sc.append(row)
-    unity = tuple(one if m == 0 else zero for m in masks)
+    rows = [[((m1 | m2, 1),) if m1 & m2 == 0 else () for m2 in masks] for m1 in masks]
+    unity = [int(m == 0) for m in masks]
     labels = tuple(names[m] for m in masks)
-    return FinAlgebra(field, sc, unity, labels=labels,
+    return FinAlgebra(field, rows, unity, labels=labels,
                       name=f"{field!r}[{'x' if nvars == 1 else 'x,y'}]/sq", validate=False)
 
 
@@ -568,11 +548,11 @@ def load_algebra(path: str, field: Field) -> FinAlgebra:
     for lineno, *indices in indexed:
         if max(indices) >= dim:
             raise ParseError(f"basis index outside [0, {dim})", line=lineno)
-    sc = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    rows = [[[] for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in triples:
-        sc[i][j][k] = sc[i][j][k] + c
+        rows[i][j].append((k, c))
     label_list = [labels.get(i, f"e{i}") for i in range(dim)]
-    return FinAlgebra(field, sc, unity, labels=label_list, name="file-algebra", validate=True)
+    return FinAlgebra(field, rows, unity, labels=label_list, name="file-algebra", validate=True)
 
 
 def load_group(path: str) -> FiniteGroup:
@@ -674,7 +654,7 @@ def hat(algebra: FinAlgebra, g: int, normalized: bool = False) -> AlgebraElem:
     if not normalized:
         return elem
     m = len(subgroup)
-    p = algebra.field.characteristic
+    p = algebra.field.p
     if p and m % p == 0:
         raise NonInvertibleOrder(f"order {m} is not invertible in characteristic {p}")
     return elem.scale(algebra.field.from_fraction(1, m))
@@ -1180,7 +1160,7 @@ def _averaging_idempotents(algebra: FinAlgebra) -> list[AlgebraElem]:
     group = algebra.group
     field = algebra.field
     out = [algebra.zero(), algebra.one()]
-    p = field.characteristic
+    p = field.p
     for g in range(group.order):
         m = group.element_order(g)
         if p and m % p == 0:
@@ -1209,11 +1189,11 @@ def structural_predicates(algebra: FinAlgebra) -> StructuralReport:
     idempotents: list[AlgebraElem]
     if field.is_finite and field.order ** algebra.dim <= IDEMPOTENT_ENUM_LIMIT:
         mode = "exhaustive"
-        idempotents = []
-        for vec in itertools.product(range(field.order), repeat=algebra.dim):
-            e = algebra.elem(vec)
-            if e * e == e:
-                idempotents.append(e)
+        idempotents = [
+            AlgebraElem._new(algebra, v)
+            for v in itertools.product(range(field.order), repeat=algebra.dim)
+            if algebra._mul_raw(v, v) == v
+        ]
     else:
         mode = "averaging"
         idempotents = _averaging_idempotents(algebra)

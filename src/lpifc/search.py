@@ -142,19 +142,19 @@ def verify_tables(c_max: int, field: Field) -> CampaignReport:
     return _campaign("verify-tables", params, None, start, outcomes())
 
 
-def random_laurent(
-    rng: Random,
-    field: Field,
-    pool: Sequence[Word],
-    max_support: int = 4,
-    allow_identity: bool = True,
-) -> LaurentPoly:
+# The most pool words a random_laurent draw takes, and whether it may add an
+# identity term; read at call time.
+RANDOM_MAX_SUPPORT = 4
+RANDOM_ALLOW_IDENTITY = True
+
+
+def random_laurent(rng: Random, field: Field, pool: Sequence[Word]) -> LaurentPoly:
     """A random polynomial with support drawn from the pool (never zero, and
     always containing at least one non-identity word)."""
-    size = rng.randint(1, max_support)
+    size = rng.randint(1, RANDOM_MAX_SUPPORT)
     support = rng.sample(list(pool), min(size, len(pool)))
     terms = {w: field.random_nonzero(rng) for w in support}
-    if allow_identity and rng.random() < 0.4:
+    if RANDOM_ALLOW_IDENTITY and rng.random() < 0.4:
         terms[Word.identity()] = field.random_nonzero(rng)
     return LaurentPoly(field, terms)
 
@@ -164,6 +164,7 @@ def verify_obstruction_consistency(
 ) -> CampaignReport:
     """Random polynomials: the obstruction matrix equals the coefficient of
     T^(2*cumulus) of the primary-pair evaluation, exactly."""
+    check_count("sample_count", sample_count)
     start = time.perf_counter()
 
     def outcomes():

@@ -312,14 +312,14 @@ def test_whole_file_error_names_no_position(tmp_path, kind, text):
 
 def test_invalid_structure_constants_rejected():
     # basis 1, u, v with u*u = v, u*v = 1, v*u = 0: then (uu)u = 0 != u = u(uv)
-    e0, e1, e2, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
-    bad_sc = [
+    e0, e1, e2, z = ((0, 1),), ((1, 1),), ((2, 1),), ()
+    bad_rows = [
         [e0, e1, e2],
         [e1, e2, e0],
         [e2, z, z],
     ]
     with pytest.raises(InvalidParameter):
-        FinAlgebra(Q, bad_sc, e0)
+        FinAlgebra(Q, bad_rows, (1, 0, 0))
 
 
 # -- falsification ----------------------------------------------------------------
@@ -571,14 +571,15 @@ def test_p1_exhaustive_falls_back_without_index_tables():
 
 
 def _sc_product(algebra, u, v):
-    """e_i * e_j = sc[i][j], extended bilinearly with FieldElem arithmetic."""
+    """e_i * e_j = sum of s * e_k over the (k, s) of _rows[i][j], extended
+    bilinearly with FieldElem arithmetic."""
     field = algebra.field
     out = [field.zero] * algebra.dim
     for i, ui in enumerate(map(field, u)):
         for j, vj in enumerate(map(field, v)):
             if ui and vj:
-                for k, s in enumerate(algebra.sc[i][j]):
-                    out[k] = out[k] + ui * vj * s
+                for k, s in algebra._rows[i][j]:
+                    out[k] = out[k] + ui * vj * field(s)
     return tuple(out)
 
 
@@ -642,7 +643,7 @@ def _fraction_algebra_file(tmp_path):
 @pytest.mark.parametrize("field", [Q, F5], ids=repr)
 def test_mul_vec_matches_sc_sums_on_fractional_constants(tmp_path, field):
     A = load_algebra(str(_fraction_algebra_file(tmp_path)), field)
-    assert any(s.v != int(s.v) for row in A.sc for vec in row for s in vec) or field.p
+    assert any(type(s) is Fraction for row in A._rows for pairs in row for _, s in pairs) or field.p
     rng = random.Random(7)
     for _ in range(60):
         u = [field.random(rng) for _ in range(3)]
@@ -655,6 +656,116 @@ def test_mul_vec_matches_sc_sums_on_fractional_constants(tmp_path, field):
         lmat = A.left_mult_matrix(u)
         for j in range(3):
             assert tuple(row[j] for row in lmat) == _sc_product(A, u, A.basis(j).coeffs)
+
+
+# -- the builders against the definitions of their algebras -------------------
+
+
+def _group_case(g, field):
+    """e_i * e_j = e_(g_i g_j) from the group's multiplication table."""
+    return group_algebra(g, field), lambda i, j: {g.table[i][j]: 1}, {g.identity: 1}
+
+
+def _matrix_unit_product(i, j):
+    """e_ab * e_cd as the integer product of the 2x2 matrix units, with e_ab
+    at index 2a + b."""
+    units = []
+    for n in (i, j):
+        m = [[0, 0], [0, 0]]
+        m[n // 2][n % 2] = 1
+        units.append(m)
+    x, y = units
+    return {2 * r + c: sum(x[r][t] * y[t][c] for t in range(2))
+            for r in range(2) for c in range(2)}
+
+
+def _monomial_product(i, j):
+    """x^a y^b * x^c y^d on the square-free monomials, x^a y^b at index
+    a + 2b: zero once an exponent reaches 2."""
+    exps = [(i >> v & 1) + (j >> v & 1) for v in range(2)]
+    return {} if max(exps) > 1 else {exps[0] + 2 * exps[1]: 1}
+
+
+def _cubic_case(tmp_path, field):
+    """The products summed from the 'sc i j k c' lines of the cubic file."""
+    path = _fraction_algebra_file(tmp_path)
+    products = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("sc "):
+            i, j, k, c = line.split()[1:]
+            vec = products.setdefault((int(i), int(j)), {})
+            vec[int(k)] = vec.get(int(k), 0) + Fraction(c)
+    return load_algebra(str(path), field), lambda i, j: products.get((i, j), {}), {0: 1}
+
+
+REFERENCE_CASES = {
+    "F3[C5]": lambda tmp: _group_case(cyclic_group(5), F3),
+    "F2[S3]": lambda tmp: _group_case(symmetric_group(3), F2),
+    "F2[Q8]": lambda tmp: _group_case(quaternion_group(), F2),
+    "F2[D3]": lambda tmp: _group_case(dihedral_group(3), F2),
+    "F3[C2xC2]": lambda tmp: _group_case(build_group("cyclic:2xcyclic:2"), F3),
+    "M2(F2)": lambda tmp: (matrix2_algebra(F2), _matrix_unit_product, {0: 1, 3: 1}),
+    "M2(F3)": lambda tmp: (matrix2_algebra(F3), _matrix_unit_product, {0: 1, 3: 1}),
+    "sqzero1/F5": lambda tmp: (square_zero_algebra(F5, 1), _monomial_product, {0: 1}),
+    "sqzero2/F3": lambda tmp: (square_zero_algebra(F3, 2), _monomial_product, {0: 1}),
+    "cubic/Q": lambda tmp: _cubic_case(tmp, Q),
+    "cubic/F5": lambda tmp: _cubic_case(tmp, F5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_builders_match_their_definitions(tmp_path, name):
+    A, product, unity = REFERENCE_CASES[name](tmp_path)
+    field = A.field
+
+    def vector(coeffs):
+        return tuple(field(coeffs.get(k, 0)) for k in range(A.dim))
+
+    assert A.one().coeffs == vector(unity)
+    for i, j in itertools.product(range(A.dim), repeat=2):
+        got = A._mul_raw(A._basis_raw(i), A._basis_raw(j))
+        assert tuple(map(field, got)) == vector(product(i, j)), (i, j)
+
+
+def _c3_rows(i=None, j=None, pairs=()):
+    """The sparse rows of F[C3], with entry (i, j) replaced by ``pairs``."""
+    rows = [[(((a + b) % 3, 1),) for b in range(3)] for a in range(3)]
+    if i is not None:
+        rows[i][j] = pairs
+    return rows
+
+
+MALFORMED_ALGEBRAS = {
+    "row count": lambda: (_c3_rows()[:2], (1, 0, 0), None),
+    "row length": lambda: ([row[:2] if a == 1 else row for a, row in enumerate(_c3_rows())],
+                           (1, 0, 0), None),
+    "index above dim": lambda: (_c3_rows(0, 1, ((3, 1),)), (1, 0, 0), None),
+    "negative index": lambda: (_c3_rows(2, 2, ((-1, 1),)), (1, 0, 0), None),
+    "unity length": lambda: (_c3_rows(), (1, 0), None),
+    "label length": lambda: (_c3_rows(), (1, 0, 0), ("1", "g")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_structure_constants_rejected(case):
+    assert FinAlgebra(F3, _c3_rows(), (1, 0, 0)).dim == 3
+    rows, unity, labels = MALFORMED_ALGEBRAS[case]()
+    with pytest.raises(InvalidParameter):
+        FinAlgebra(F3, rows, unity, labels=labels, validate=False)
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=repr)
+def test_sparse_rows_sum_per_index(field):
+    # each product e_a * e_b given as two halves, out of order, next to a
+    # pair of terms on another index that cancel
+    half = Fraction(1, 2)
+    rows = [[(((a + b + 1) % 3, 1), ((a + b) % 3, half), ((a + b + 1) % 3, -1), ((a + b) % 3, half))
+             for b in range(3)]
+            for a in range(3)]
+    A = FinAlgebra(field, rows, (1, 0, 0))
+    assert A._rows == group_algebra(cyclic_group(3), field)._rows
+    assert all(pairs == (((a + b) % 3, 1),) and type(pairs[0][1]) is int
+               for a, row in enumerate(A._rows) for b, pairs in enumerate(row))
 
 
 def test_bac_check_builds_one_table(monkeypatch):

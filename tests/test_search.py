@@ -112,6 +112,12 @@ def test_obstruction_consistency_finite_field():
     assert report.failed == 0
 
 
+@pytest.mark.parametrize("sample_count", [-1, -5])
+def test_obstruction_consistency_rejects_negative_count(sample_count):
+    with pytest.raises(InvalidParameter, match="sample_count"):
+        verify_obstruction_consistency(sample_count, 2, F2)
+
+
 # -- three-term-support campaign --------------------------------------------------------
 
 
