@@ -24,10 +24,11 @@ from .errors import (
     ParseError,
     StillInL,
     ZeroPolynomial,
+    check_count,
 )
-from .exactalg import Field, FieldElem, Mat2Poly, UniPoly
+from .exactalg import Field, FieldElem, Mat2Poly, UniPoly, _plain_elem
 from .laurent import LaurentPoly
-from .linalg import nullspace, rank
+from .linalg import Echelon
 from .parsing import TokenStream, parse_terms, sparse_sum
 from .words import Word, WordImages
 
@@ -236,16 +237,12 @@ def phi_images_independent(field: Field, max_len: int) -> bool:
     mons = alternating_monomials(max_len)
     mats = [phi_monomial(m, field) for m in mons]
     degs = [m.degree for m in mats if not m.is_zero]
-    top = int(max(degs)) if degs else 0
-    rows = []
-    for m in mats:
-        row = []
-        for i in range(2):
-            for j in range(2):
-                for d in range(top + 1):
-                    row.append(m.entry(i, j).coeff(d))
-        rows.append(row)
-    return rank(field, rows) == len(rows)
+    width = int(max(degs)) + 1 if degs else 1
+    rows = [[c for row in m.e for poly in row for c in poly._c + (0,) * (width - len(poly._c))]
+            for m in mats]
+    ech = Echelon(field, 4 * width)
+    ech.add(rows)
+    return ech.rank == len(rows)
 
 
 # -- the conjugation linear system ------------------------------------------
@@ -345,9 +342,8 @@ def thekey_solve(
     if d < 1:
         raise InvalidParameter("degree bound must be at least 1")
     n = 1 + 4 * (d + 1)  # x plus four polynomials
-    iA, iB, iC, iD = 1, 1 + (d + 1), 1 + 2 * (d + 1), 1 + 3 * (d + 1)
 
-    def membership_rows(u: Mat2Poly) -> list[list[FieldElem]]:
+    def membership_rows(u: Mat2Poly) -> list[tuple]:
         ue, ve = u.e, u.inv().e
         columns = [Mat2Poly.identity(field)]  # x*1 is fixed by conjugation
         # Unknown A_k multiplies T^(k+1)*P11, B_k T^k*P12, C_k T^(k+1)*P21,
@@ -363,23 +359,18 @@ def thekey_solve(
         for col in columns:
             m = FCMat.decompose(col)
             conds.append((m.x, m.A.shift(1) + m.B + m.C + m.D))
-        top = max(len(poly.coeffs) for _, poly in conds)
-        rows = [[x for x, _ in conds]]
-        rows.extend([poly.coeff(k) for _, poly in conds] for k in range(top))
-        return [r for r in rows if any(not c.is_zero for c in r)]
+        top = max(len(poly._c) for _, poly in conds)
+        rows = [tuple(x.v for x, _ in conds)]
+        rows.extend(zip(*(poly._c + (0,) * (top - len(poly._c)) for _, poly in conds)))
+        return [r for r in rows if any(r)]
 
-    def basis_to_fcmat(vec: list[FieldElem]) -> FCMat:
-        return FCMat(
-            field,
-            x=vec[0],
-            A=UniPoly(field, vec[iA : iA + d + 1]),
-            B=UniPoly(field, vec[iB : iB + d + 1]),
-            C=UniPoly(field, vec[iC : iC + d + 1]),
-            D=UniPoly(field, vec[iD : iD + d + 1]),
-        )
+    def basis_to_fcmat(vec: list) -> FCMat:
+        # vec is x, then the d + 1 coefficients of each of A, B, C, D.
+        polys = (UniPoly._new(field, vec[i : i + d + 1]) for i in range(1, n, d + 1))
+        return FCMat(field, _plain_elem(field, vec[0]), *polys)
 
     def check_relations() -> list[tuple[str, bool]]:
-        mats = [basis_to_fcmat(v) for v in basis]
+        mats = [basis_to_fcmat(v) for v in system.nullspace()]
         one_plus_t = UniPoly(field, (1, 1))
         return [
             ("C = 0", all(m.C.is_zero for m in mats)),
@@ -387,17 +378,14 @@ def thekey_solve(
             ("B = -(1+T)*A", all(m.B == -(one_plus_t * m.A) for m in mats)),
         ]
 
-    equations: list[list[FieldElem]] = []
+    # One echelon form across the stages: each stage reduces only its new rows.
+    system = Echelon(field, n)
     stages: list[ThekeyStage] = []
-    # One nullspace per stage; with no equations yet it is all of K^n.
-    basis = nullspace(field, equations, n)
 
     def add_stage(label: str, u: Mat2Poly) -> None:
-        nonlocal basis
         new = membership_rows(u)
-        equations.extend(new)
-        basis = nullspace(field, equations, n)
-        stages.append(ThekeyStage(label, len(new), len(basis)))
+        system.add(new)
+        stages.append(ThekeyStage(label, len(new), n - system.rank))
 
     conj_list = default_conjugators(field) if conjugators is None else list(conjugators)
     for label, u in conj_list[:3]:
@@ -408,12 +396,13 @@ def thekey_solve(
     for label, u in conj_list[3:]:
         add_stage(label, u)
 
-    if conjugators is None and basis:
+    if conjugators is None and system.rank < n:
         for label, u in extended_conjugators(field):
             add_stage(label, u)
-            if not basis:
+            if system.rank == n:
                 break
 
+    basis = system.nullspace()
     return ThekeyReport(
         field=field,
         degree_bound=d,
@@ -456,6 +445,7 @@ def extract_g(f: LaurentPoly, up: UnitPair, conj_bound: int = 3) -> ExtractedWit
     to the bound; an exhausted search raises StillInL (inconclusive).  The
     (sigma, tau) tie-break order is (a,b), (a,ab), (ab,b), (ab,ab).
     """
+    check_count("conj_bound", conj_bound)
     field = up.u.field
     r = eval_laurent(f, up)
     if r.is_zero:

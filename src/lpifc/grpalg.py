@@ -330,11 +330,12 @@ class AlgebraElem:
     def inverse(self) -> "AlgebraElem":
         """Inverse through the left-regular representation."""
         alg = self.algebra
-        lmat = alg.left_mult_matrix(self.coeffs)
-        x = solve(alg.field, lmat, list(alg.one().coeffs))
+        # Column j of the left-multiplication matrix is self * e_j.
+        cols = [alg._mul_raw(self._c, alg._basis_raw(j)) for j in range(alg.dim)]
+        x = solve(alg.field, list(zip(*cols)), alg._unity)
         if x is None:
             raise NotAUnit(f"{self} is not a unit")
-        cand = AlgebraElem(alg, x)
+        cand = AlgebraElem._new(alg, tuple(x))
         if not (self * cand == alg.one() and cand * self == alg.one()):
             raise NotAUnit(f"{self} has no two-sided inverse")
         return cand
@@ -453,11 +454,6 @@ class FinAlgebra:
     def mul_vec(self, u: Sequence[FieldElem], v: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
         return tuple(_plain_elem(self.field, c)
                      for c in self._mul_raw(self._plain(u), self._plain(v)))
-
-    def left_mult_matrix(self, a: Sequence[FieldElem]) -> list[list[FieldElem]]:
-        a = self._plain(a)
-        cols = [self._mul_raw(a, self._basis_raw(j)) for j in range(self.dim)]
-        return [[_plain_elem(self.field, col[k]) for col in cols] for k in range(self.dim)]
 
     def elem(self, coeffs: Sequence) -> AlgebraElem:
         return AlgebraElem(self, coeffs)

@@ -300,6 +300,13 @@ def test_invalid_field_rejected(capsys):
     assert "prime" in err
 
 
+def test_extract_g_rejects_a_negative_conj_bound(capsys):
+    # a negative bound would otherwise silently mean "try no conjugator"
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "extract-g", "X-1", "--conj-bound", "-1", *json_flag)
+        assert (code, out, err) == (2, "", "error: conj_bound must be non-negative, got -1\n")
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:-1]))
 def test_golden_eval_and_verify_tables(capsys, case):
     code, out, _ = run(capsys, *case["argv"])

@@ -468,14 +468,30 @@ def test_thekey_empty_conjugator_list_is_the_whole_space():
 
 
 def test_thekey_one_rref_per_stage(monkeypatch):
-    from lpifc import linalg
+    # One echelon form across the stages, and one Echelon.add per stage that
+    # receives exactly that stage's rows: the rows a solve with that
+    # conjugator alone receives, never the earlier stages' rows again.
+    from lpifc.linalg import Echelon
 
     calls = []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+    add = Echelon.add
+
+    def recording_add(self, rows):
+        rows = list(rows)
+        calls.append((self, rows))
+        add(self, rows)
+
+    monkeypatch.setattr(Echelon, "add", recording_add)
     report = thekey_solve(F2, degree_bound=4)
     assert len(report.stages) == 6
     assert len(calls) == 6
+    assert len({id(system) for system, _ in calls}) == 1
+    assert [len(rows) for _, rows in calls] == [s.equations for s in report.stages]
+    stage_rows = [rows for _, rows in calls]
+    for (label, u), rows in zip(_all_conjugators(F2), stage_rows):
+        calls.clear()
+        thekey_solve(F2, degree_bound=4, conjugators=[(label, u)])
+        assert [r for _, r in calls] == [rows], label
 
 
 def test_thekey_rejects_a_conjugator_outside_the_image():
@@ -514,8 +530,9 @@ def test_thekey_single_conjugator_dims_match_enumeration_f2():
 @pytest.mark.parametrize("field", [Q, F3, Field(5)], ids=repr)
 def test_thekey_dims_match_rank_of_conjugated_basis(field):
     # independent route: conjugate each basis element of the generic s as a
-    # whole matrix and take the rank of its membership conditions
-    from lpifc.linalg import rank
+    # whole matrix and take the rank of its membership conditions by the
+    # FieldElem reference row reduction
+    from linalg_reference import rank
 
     d = 2
     n = 1 + 4 * (d + 1)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_reference import solve as ref_solve
 from lpifc.errors import (
     ArityMismatch,
     InvalidParameter,
@@ -645,6 +646,7 @@ def test_mul_vec_matches_sc_sums_on_fractional_constants(tmp_path, field):
     A = load_algebra(str(_fraction_algebra_file(tmp_path)), field)
     assert any(type(s) is Fraction for row in A._rows for pairs in row for _, s in pairs) or field.p
     rng = random.Random(7)
+    units = 0
     for _ in range(60):
         u = [field.random(rng) for _ in range(3)]
         v = [field.random(rng) for _ in range(3)]
@@ -652,10 +654,20 @@ def test_mul_vec_matches_sc_sums_on_fractional_constants(tmp_path, field):
         assert product == _sc_product(A, u, v)
         assert all(isinstance(c.v, Fraction) for c in product) or field.p
         assert (A.elem(u) * A.elem(v)).coeffs == product
-        # column j of the left-multiplication matrix is u * e_j
-        lmat = A.left_mult_matrix(u)
-        for j in range(3):
-            assert tuple(row[j] for row in lmat) == _sc_product(A, u, A.basis(j).coeffs)
+        # inverse() is two-sided and equals the reference solve of u * x = 1,
+        # whose column j is u * e_j; A is commutative, so a unit is exactly
+        # a u with a solution
+        cols = [_sc_product(A, u, A.basis(j).coeffs) for j in range(3)]
+        x = ref_solve(field, [list(row) for row in zip(*cols)], list(A.one().coeffs))
+        elem = A.elem(u)
+        if x is None:
+            assert not elem.is_unit()
+            continue
+        units += 1
+        inv = elem.inverse()
+        assert inv * elem == A.one() == elem * inv
+        assert inv.coeffs == tuple(x)
+    assert units
 
 
 # -- the builders against the definitions of their algebras -------------------

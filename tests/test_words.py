@@ -4,9 +4,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpifc import words
 from lpifc.errors import IdentityWord, InternalError, ParseError
+from lpifc.exactalg import Field, Mat2Poly
+from lpifc.fcrep import unit_pair
 from lpifc.words import (
     CUMULUS_ONE,
     Letter,
@@ -17,6 +21,7 @@ from lpifc.words import (
     W_YINV,
     W_YINV_X,
     Word,
+    WordImages,
     factor_cumulus_one,
     parse_word,
     sgn_recursive,
@@ -233,3 +238,34 @@ def test_word_group_laws_random():
         assert (u * v) * w == u * (v * w)
         assert (u * v).inv() == v.inv() * u.inv()
         assert (u * u.inv()).is_identity
+
+
+# -- group laws and the word homomorphism, as properties -----------------------
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def words_over(ngens):
+    """Words from arbitrary block lists, so that products cancel and merge."""
+    block = st.tuples(st.integers(0, ngens - 1), st.integers(-3, 3))
+    return st.lists(block, max_size=6).map(Word.from_blocks)
+
+
+@PROPERTY_SETTINGS
+@given(words_over(3), words_over(3), words_over(3))
+def test_word_group_laws(u, v, w):
+    one = Word.identity()
+    assert (u * v) * w == u * (v * w)
+    assert one * w == w == w * one
+    assert w * w.inv() == one == w.inv() * w
+    assert (u * v).inv() == v.inv() * u.inv()
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([Field(0), Field(3)]), words_over(2), words_over(2))
+def test_word_images_is_a_homomorphism_at_the_primary_pair(field, u, v):
+    up = unit_pair("primary", field)
+    # separate evaluators, so no image is read from a cache the other filled
+    product, factors = WordImages((up.u, up.v)), WordImages((up.u, up.v))
+    assert product(u * v) == factors(u) * factors(v)
+    assert product(Word.identity()) == Mat2Poly.identity(field)

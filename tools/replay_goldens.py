@@ -1,0 +1,49 @@
+"""Replay a few golden CLI transcripts through a given command.
+
+Usage: python tools/replay_goldens.py COMMAND [ARG...]
+
+Each case in CASES is run as ``COMMAND ARG... <case argv>``, and its stdout,
+stderr and exit code are compared with the transcript of the same argv in
+tests/golden_cli.json.  CI runs it with the ``lpifc`` script that pip
+installed, from outside the checkout and with no PYTHONPATH; the test suite
+runs it with ``python -m lpifc.cli``.  The last two cases run the M2 and
+group-algebra builders.  Prints each mismatch and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
+
+GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden_cli.json"
+
+CASES = (
+    ["word", "X*Y^-1", "--json"],
+    ["word", "X*Z"],
+    ["grpalg", "--algebra-file", "/nonexistent/lpifc.alg", "--field", "2"],
+    ["p1", "--algebra", "m2", "--field", "2", "--g", "T"],
+    ["grpalg", "--group", "sym:3", "--field", "3", "--predicates"],
+)
+
+
+def main(command: list[str]) -> int:
+    if not command:
+        print("usage: python tools/replay_goldens.py COMMAND [ARG...]", file=sys.stderr)
+        return 2
+    golden = {tuple(c["argv"]): c for c in json.loads(GOLDEN.read_text())}
+    failed = False
+    for argv in CASES:
+        case = golden[tuple(argv)]
+        run = subprocess.run([*command, *argv], capture_output=True, text=True)
+        if (run.returncode, run.stdout, run.stderr) != (case["exit"], case["stdout"], case["stderr"]):
+            print(f"{' '.join(command + argv)} differs from its golden transcript"
+                  f" (exit {run.returncode}, expected {case['exit']}):")
+            print(run.stdout + run.stderr)
+            failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
