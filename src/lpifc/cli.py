@@ -16,7 +16,6 @@ the same seed are byte-identical.  Wall-clock timings are emitted only under
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -507,7 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Building the parser costs about as much as a small query, so one process
 # builds it once; parsing does not change it.
-_parser = functools.cache(build_parser)
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
 
 
 def main(argv: list[str] | None = None) -> int:

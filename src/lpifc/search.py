@@ -11,7 +11,6 @@ byte-identical).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -63,9 +62,6 @@ class CampaignReport:
             out["duration_ms"] = self.duration_ms
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def _campaign(
     name: str, params: dict, seed: int | None, start: float, outcomes: Iterable[dict | None]
@@ -103,17 +99,6 @@ def enum_words(c_max: int) -> Iterator[Word]:
                     nxt.add(cand)
         level = sorted(nxt, key=Word.sort_key)
         yield from level
-
-
-def enum_words_oracle(c_max: int) -> set[Word]:
-    """Independent enumeration route: all normal-form words of weight at most
-    2*c_max (a superset, by subadditivity of the weight under products of
-    cumulus-1 words) filtered by cumulus."""
-    return {
-        w
-        for w in words_of_weight_at_most(2 * c_max)
-        if not w.is_identity and word_invariants(w).C <= c_max
-    }
 
 
 def verify_tables(c_max: int, field: Field) -> CampaignReport:

@@ -23,10 +23,12 @@ cumulus-1 words X, X^-1, Y, Y^-1, X^-1*Y, Y^-1*X; see
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import IdentityWord, InternalError, InvalidParameter, ParseError
+from .exactalg import binary_power
 from .parsing import TokenStream, read_exponent
 
 X_GEN = 0
@@ -125,11 +127,7 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.blocks)))
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inv()
-        out = Word.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return binary_power(self if n >= 0 else self.inv(), abs(n), Word.identity)
 
     def sort_key(self):
         return self.blocks
@@ -286,8 +284,23 @@ def end(w: Word) -> Letter:
     return _letter(gen, exp > 0)
 
 
+# The bound of the word_invariants memo, in entries.  It holds every word of
+# the cumulus <= 6 sweep (8,190 words).  An entry takes about 0.4 KB plus 64
+# bytes per block, so a full memo of words of at most 12 blocks stays under
+# 18 MB.
+INVARIANTS_MEMO_SIZE = 2**14
+
+
 def word_invariants(w: Word) -> WordInvariants:
-    """All the integer invariants of a word, computed by direct count."""
+    """All the integer invariants of a word, counted once per distinct word
+    while it stays among the last INVARIANTS_MEMO_SIZE words asked for.  The
+    result is a frozen value shared by every caller that asks for w."""
+    return _count_invariants(w)
+
+
+@functools.lru_cache(maxsize=INVARIANTS_MEMO_SIZE)
+def _count_invariants(w: Word) -> WordInvariants:
+    """The invariants of w by direct count over its adjacent block pairs."""
     _require_rank2(w)
     n_count = 0
     m_count = 0

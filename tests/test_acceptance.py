@@ -306,7 +306,9 @@ def test_criterion_16_determinism(capsys):
         assert outputs[0] == outputs[1]
         json.loads(outputs[0])  # well-formed canonical JSON
         reports = [
-            verify_obstruction_consistency(20, 2, F3, seed=6).to_json() for _ in range(2)
+            json.dumps(verify_obstruction_consistency(20, 2, F3, seed=6).to_dict(),
+                       sort_keys=True, indent=2)
+            for _ in range(2)
         ]
         assert reports[0] == reports[1]
     with capsys.disabled():

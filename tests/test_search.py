@@ -12,13 +12,12 @@ from lpifc.search import (
     CampaignReport,
     cprime_bound_campaign,
     enum_words,
-    enum_words_oracle,
     falsify_three_term,
     support3_campaign,
     verify_obstruction_consistency,
     verify_tables,
 )
-from lpifc.words import CUMULUS_ONE, Word, parse_word, word_invariants
+from lpifc.words import CUMULUS_ONE, Word, parse_word, word_invariants, words_of_weight_at_most
 
 Q = Field(0)
 F2 = Field(2)
@@ -52,6 +51,17 @@ def test_enum_no_duplicates_and_graded():
     assert len(words) == len(set(words))
     grades = [word_invariants(w).C for w in words]
     assert grades == sorted(grades)
+
+
+def enum_words_oracle(c_max):
+    """Independent enumeration route: all normal-form words of weight at most
+    2*c_max (a superset, by subadditivity of the weight under products of
+    cumulus-1 words) filtered by cumulus."""
+    return {
+        w
+        for w in words_of_weight_at_most(2 * c_max)
+        if not w.is_identity and word_invariants(w).C <= c_max
+    }
 
 
 def test_enum_matches_weight_oracle():
@@ -178,9 +188,10 @@ def test_report_schema():
 def test_report_json_deterministic():
     r1 = support3_campaign(c_max=1, fields=[F2], coeff_samples=3, seed=5)
     r2 = support3_campaign(c_max=1, fields=[F2], coeff_samples=3, seed=5)
-    assert r1.to_json() == r2.to_json()
+    j1, j2 = (json.dumps(r.to_dict(), sort_keys=True, indent=2) for r in (r1, r2))
+    assert j1 == j2
     # timings vary between runs and stay out of the canonical form
-    assert "duration_ms" not in json.loads(r1.to_json())
+    assert "duration_ms" not in json.loads(j1)
 
 
 def test_failures_reported():

@@ -32,6 +32,10 @@ def test_lint_passes_on_this_tree():
         ("words.py", "sys.stderr.write('x')", "sys.stderr"),
         ("words.py", "from sys import stdout", "import of sys.stdout or sys.stderr"),
         ("cli.py", "assert True", "assert statement"),
+        ("words.py", "_f = functools.cache(len)", "unbounded cache"),
+        ("cli.py", "from functools import cache", "unbounded cache"),
+        ("search.py", "@lru_cache(maxsize=None)\ndef f(): pass", "unbounded cache"),
+        ("laurent.py", "_f = functools.lru_cache(None)(len)", "unbounded cache"),
     ],
 )
 def test_lint_fails_on_a_copy_with_one_finding(tmp_path, module, line, found):

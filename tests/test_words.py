@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpifc import words
-from lpifc.errors import IdentityWord, InternalError, ParseError
+from lpifc.errors import IdentityWord, InternalError, InvalidParameter, ParseError
 from lpifc.exactalg import Field, Mat2Poly
 from lpifc.fcrep import unit_pair
+from lpifc.search import enum_words, verify_tables
 from lpifc.words import (
     CUMULUS_ONE,
+    X_GEN,
+    Y_GEN,
     Letter,
     W_X,
     W_XINV,
@@ -22,6 +25,7 @@ from lpifc.words import (
     W_YINV_X,
     Word,
     WordImages,
+    WordInvariants,
     factor_cumulus_one,
     parse_word,
     sgn_recursive,
@@ -216,10 +220,10 @@ def test_weight_enumeration_counts():
 
 
 def test_invariants_need_two_generators():
-    from lpifc.errors import InvalidParameter
-
-    with pytest.raises(InvalidParameter):
-        word_invariants(Word.generator(2))
+    # asked twice: the memo keeps no failure, so the second call raises too
+    for _ in range(2):
+        with pytest.raises(InvalidParameter):
+            word_invariants(Word.generator(2))
 
 
 def test_word_group_laws_random():
@@ -269,3 +273,76 @@ def test_word_images_is_a_homomorphism_at_the_primary_pair(field, u, v):
     product, factors = WordImages((up.u, up.v)), WordImages((up.u, up.v))
     assert product(u * v) == factors(u) * factors(v)
     assert product(Word.identity()) == Mat2Poly.identity(field)
+
+
+@PROPERTY_SETTINGS
+@given(words_over(3), st.integers(-6, 6))
+def test_word_power_matches_the_repeated_product(w, n):
+    base = w if n >= 0 else w.inv()
+    expected = Word.identity()
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert w**n == expected
+
+
+# -- the word_invariants memo ----------------------------------------------------
+
+_LETTERS = {(X_GEN, True): Letter.X, (X_GEN, False): Letter.XINV,
+            (Y_GEN, True): Letter.Y, (Y_GEN, False): Letter.YINV}
+
+
+def recount_invariants(w):
+    """The invariants from their definitions, with no memo."""
+    blocks = w.blocks
+    b = _LETTERS[blocks[0][0], blocks[0][1] > 0] if blocks else Letter.ONE
+    e = _LETTERS[blocks[-1][0], blocks[-1][1] > 0] if blocks else Letter.ONE
+    pairs = list(zip(blocks, blocks[1:]))
+    x_pos_y_neg = {(X_GEN, True), (Y_GEN, False)}
+    n = sum({(g1, e1 > 0), (g2, e2 > 0)} == x_pos_y_neg for (g1, e1), (g2, e2) in pairs)
+    m = sum(e1 < 0 < e2 for (_, e1), (_, e2) in pairs)
+    cprime = sum(abs(exp) for _, exp in blocks)
+    return WordInvariants(B=b, E=e, N=n, M=m, sgn=(-1) ** n, C=cprime - m, Cprime=cprime)
+
+
+def xy_words_of_weight_at_most_40():
+    block = st.tuples(st.integers(0, 1), st.integers(-5, 5))
+    return st.lists(block, max_size=8).map(Word.from_blocks)
+
+
+@PROPERTY_SETTINGS
+@given(xy_words_of_weight_at_most_40())
+def test_memoised_invariants_match_a_recount(w):
+    first = word_invariants(w)
+    assert first == recount_invariants(w)
+    assert word_invariants(w) == first
+
+
+def test_memoised_invariants_match_a_recount_up_to_cumulus_five():
+    for w in enum_words(5):
+        assert word_invariants(w) == recount_invariants(w)
+
+
+def test_memo_stays_at_its_bound_when_overfilled():
+    memo = words._count_invariants
+    memo.cache_clear()
+    sample = list(itertools.islice(words_of_weight_at_most(9), words.INVARIANTS_MEMO_SIZE + 100))
+    assert len(sample) == words.INVARIANTS_MEMO_SIZE + 100
+    for w in sample:
+        assert word_invariants(w) == recount_invariants(w)
+    info = memo.cache_info()
+    assert info.maxsize == info.currsize == words.INVARIANTS_MEMO_SIZE
+    # the earliest words were evicted and are counted again, still right
+    for w in sample[:100]:
+        assert word_invariants(w) == recount_invariants(w)
+    assert memo.cache_info().currsize == words.INVARIANTS_MEMO_SIZE
+
+
+def test_verify_tables_counts_each_word_once(monkeypatch):
+    memo = words._count_invariants
+    asked = []
+    monkeypatch.setattr(words, "_count_invariants", lambda w: asked.append(w) or memo(w))
+    memo.cache_clear()
+    assert verify_tables(5, Field(0)).failed == 0
+    info = memo.cache_info()
+    assert info.hits + info.misses == len(asked)
+    assert info.misses == len(set(asked)) == 2047

@@ -4,7 +4,8 @@ Invalid input raises an lpifc.errors exception; an assert would vanish under
 ``python -O``, so the library has none.  A bug is signalled with
 errors.InternalError, not with a raised AssertionError.  The CLI's stdout
 and stderr bytes are pinned, so only cli.py writes them: the rest of the
-library has no print call and no sys.stdout/stderr.
+library has no print call and no sys.stdout/stderr.  A cache in the library
+has a bound, so no functools.cache and no lru_cache(maxsize=None).
 
 Usage: python tools/lint_src.py [PACKAGE_DIR]   (default: src/lpifc)
 Prints one line per finding and exits 1 if there is any, else 0.
@@ -19,6 +20,19 @@ import sys
 DEFAULT_PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lpifc"
 
 
+def _unbounded_cache(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "functools" and any(a.name == "cache" for a in node.names)
+    if (isinstance(node, ast.Attribute) and node.attr == "cache"
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+        return True
+    if not (isinstance(node, ast.Call) and "lru_cache" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+        return False
+    maxsize = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in maxsize)
+
+
 def finding(node: ast.AST, path: pathlib.Path) -> str | None:
     if isinstance(node, ast.Assert):
         return "assert statement"
@@ -26,6 +40,8 @@ def finding(node: ast.AST, path: pathlib.Path) -> str | None:
         exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         if isinstance(exc, ast.Name) and exc.id == "AssertionError":
             return "raise AssertionError"
+    if _unbounded_cache(node):
+        return "unbounded cache"
     if path.name == "cli.py":
         return None
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
