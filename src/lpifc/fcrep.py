@@ -110,13 +110,6 @@ class FCMat:
             D=m22.shift(-1),
         )
 
-    def to_mat2(self) -> Mat2Poly:
-        xpoly = UniPoly(self.field, (self.x,))
-        return Mat2Poly(
-            self.field,
-            ((xpoly + self.A.shift(1), self.B), (self.C.shift(1), xpoly + self.D.shift(1))),
-        )
-
     @property
     def is_zero(self) -> bool:
         return self.x.is_zero and all(p.is_zero for p in (self.A, self.B, self.C, self.D))
@@ -217,32 +210,6 @@ def eval_laurent(f: LaurentPoly, up: UnitPair) -> Mat2Poly:
             "evaluation needs a two-variable polynomial; apply reduce_to_two_vars first"
         )
     return up._images.evaluate(f.terms.items())
-
-
-# -- faithfulness at desk scale ---------------------------------------------
-
-
-def alternating_monomials(max_len: int) -> list[tuple[int, ...]]:
-    """The alternating-word basis monomials of length 0..max_len."""
-    out: list[tuple[int, ...]] = [()]
-    for length in range(1, max_len + 1):
-        for start in (0, 1):
-            out.append(tuple((start + i) % 2 for i in range(length)))
-    return out
-
-
-def phi_images_independent(field: Field, max_len: int) -> bool:
-    """Exact rank check that the images of the alternating basis up to the
-    given length are linearly independent."""
-    mons = alternating_monomials(max_len)
-    mats = [phi_monomial(m, field) for m in mons]
-    degs = [m.degree for m in mats if not m.is_zero]
-    width = int(max(degs)) + 1 if degs else 1
-    rows = [[c for row in m.e for poly in row for c in poly._c + (0,) * (width - len(poly._c))]
-            for m in mats]
-    ech = Echelon(field, 4 * width)
-    ech.add(rows)
-    return ech.rank == len(rows)
 
 
 # -- the conjugation linear system ------------------------------------------
@@ -493,14 +460,3 @@ def g_at_alphabeta(g: UniPoly) -> Mat2Poly:
     out = Mat2Poly.identity(field).scale(g.constant_term)
     z = UniPoly.zero(field)
     return out + Mat2Poly(field, ((g - g.constant_term, z), (z, z)))
-
-
-def p1_fails_on_fc(g: UniPoly) -> bool:
-    """The square-zero relative free algebra never has the one-variable
-    vanishing property: g(ab) has a transcendental image, exhibited here."""
-    if g.is_zero:
-        raise ZeroPolynomial("the property is stated for nonzero polynomials")
-    witness = g_at_alphabeta(g)
-    if witness.is_zero:
-        raise InternalError(f"g(ab) vanished for the nonzero polynomial {g}")
-    return True

@@ -10,12 +10,12 @@ import time
 
 import numpy as np
 
+from fcrep_reference import phi_images_independent
 from lpifc.exactalg import Field, UniPoly, scalar_mat, scalar_mat_is_zero
 from lpifc.expand import NCPoly, expand, minimal_degree
 from lpifc.fcrep import (
     eval_laurent,
     extract_g,
-    phi_images_independent,
     thekey_solve,
     unit_pair,
 )

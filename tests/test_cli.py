@@ -35,14 +35,20 @@ from lpifc.cli import main
 # recorded once those cases became usage errors or reachable (each ended in
 # a traceback before). The last one records no stderr: argparse wraps its
 # usage line to the terminal width. The `standard-poly --k 9 --elements`
-# rejection was recorded once k! became bounded.
+# rejection was recorded once k! became bounded. The `eval` entries for
+# `X^120 - 1`, `X^40*Y*X^-40*Y^-1 - 1 --units alternate` and `Y^90 - 1
+# --field 3 --units swapped` (with stderr) were recorded at commit 9b15281,
+# where every block power went by binary powering, before large powers
+# went by Cayley-Hamilton.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
-GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in ("eval", "verify-tables")]
+EVALUATIONS = ("eval", "verify-tables")
+GOLDEN = [c for c in GOLDEN_ALL if c["argv"][0] in EVALUATIONS]
 CAMPAIGNS_AND_ALGEBRAS = ("support3", "cprime-bound", "grpalg", "standard-poly")
 GOLDEN_CAMPAIGNS = [c for c in GOLDEN_ALL if c["argv"][0] in CAMPAIGNS_AND_ALGEBRAS]
 GOLDEN_PARSED = [
-    c for c in GOLDEN_ALL if "stderr" in c and c["argv"][0] not in CAMPAIGNS_AND_ALGEBRAS
+    c for c in GOLDEN_ALL
+    if "stderr" in c and c["argv"][0] not in CAMPAIGNS_AND_ALGEBRAS + EVALUATIONS
 ]
 
 
@@ -309,9 +315,21 @@ def test_extract_g_rejects_a_negative_conj_bound(capsys):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:-1]))
 def test_golden_eval_and_verify_tables(capsys, case):
-    code, out, _ = run(capsys, *case["argv"])
+    code, out, err = run(capsys, *case["argv"])
     assert code == case["exit"]
     assert out == case["stdout"]
+    if "stderr" in case:
+        assert err == case["stderr"]
+
+
+def test_eval_power_2000_digest(capsys):
+    # 4.9 MB of JSON, pinned by its sha256 as binary powering printed it
+    code, out, _ = run(capsys, "eval", "X^2000 - 1", "--json")
+    assert code == 1
+    assert len(out) == 4_882_636
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2b1386e57af0d9216759900f5f5d688c0709e52666d344fa5b0db8cdd1dd2790"
+    )
 
 
 @pytest.mark.parametrize("case", GOLDEN_THEKEY, ids=lambda c: " ".join(c["argv"][1:]))

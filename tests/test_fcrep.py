@@ -10,21 +10,21 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fcrep_reference import alternating_monomials, p1_fails_on_fc, phi_images_independent, to_mat2
 import lpifc
 from lpifc.errors import InvalidLetter, StillInL, ZeroPolynomial
-from lpifc.exactalg import Field, Mat2Poly, UniPoly, scalar_mat
+from lpifc.exactalg import POWER_CROSSOVER, Field, Mat2Poly, UniPoly, scalar_mat
 from lpifc.fcrep import (
     FCMat,
-    alternating_monomials,
     eval_laurent,
     eval_word,
     extract_g,
     g_at_alphabeta,
-    p1_fails_on_fc,
     phi_beta,
     phi_eval,
-    phi_images_independent,
     phi_monomial,
     thekey_solve,
     unit_pair,
@@ -47,7 +47,7 @@ def test_phi_alpha_decomposition():
 
 def test_phi_alphabeta_is_T_e11():
     m = phi_eval("a*b", Q)
-    assert m.to_mat2() == Mat2Poly(Q, ((UniPoly.T(Q), UniPoly.zero(Q)), (UniPoly.zero(Q), UniPoly.zero(Q))))
+    assert to_mat2(m) == Mat2Poly(Q, ((UniPoly.T(Q), UniPoly.zero(Q)), (UniPoly.zero(Q), UniPoly.zero(Q))))
     assert (str(m.x), str(m.A)) == ("0", "1")
 
 
@@ -70,8 +70,8 @@ def test_phi_image_closed_under_ring_ops():
             )
 
         m1, m2 = rand_fc(), rand_fc()
-        FCMat.decompose(m1.to_mat2() * m2.to_mat2())
-        FCMat.decompose(m1.to_mat2() + m2.to_mat2())
+        FCMat.decompose(to_mat2(m1) * to_mat2(m2))
+        FCMat.decompose(to_mat2(m1) + to_mat2(m2))
 
 
 def test_faithfulness_desk_scale():
@@ -238,6 +238,39 @@ def _assert_fraction_coeffs(m):
     assert all(isinstance(c.v, Fraction) for row in m.e for p in row for c in p.coeffs)
 
 
+def test_integral_scalar_multiplies_as_int_over_q(monkeypatch):
+    f = UniPoly(Q, (1, -2, 0, 5))
+    scaled = f * Q(Fraction(3))
+    assert [type(c) for c in scaled._c] == [int] * 4
+    assert scaled.coeffs == tuple(c * Q(3) for c in f.coeffs)
+    half = f * Q(Fraction(3, 2))
+    assert [type(c) for c in half._c] == [Fraction, int, int, Fraction]
+    assert half.coeffs == tuple(c * Q(Fraction(3, 2)) for c in f.coeffs)
+    # The integral scalar is demoted once, so no coefficient meets a Fraction.
+    scalars = (Q(3), Fraction(3), 3, Q(-1))
+    expected = [UniPoly(Q, [c * Q(s) for c in f.coeffs]) for s in scalars]
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, op=op: products.append(b) or op(a, b))
+    got = [f * s for s in scalars]
+    monkeypatch.undo()
+    assert products == []
+    assert got == expected
+    m = unit_pair("primary", Q).u
+    for s in (Q(3), Fraction(-1), 2, Q(Fraction(3, 2))):
+        _assert_fraction_coeffs(m.scale(s))
+
+
+def test_scalar_product_over_fp_is_unchanged():
+    f = UniPoly(F5, (1, 4, 0, 3))
+    for s in (F5(3), 3, 8, Fraction(3, 2)):
+        scaled = f * s
+        assert scaled._c == tuple(c.v * F5(s).v % 5 for c in f.coeffs)
+        assert scaled.coeffs == tuple(c * F5(s) for c in f.coeffs)
+        assert all(type(c) is int and 0 <= c < 5 for c in scaled._c)
+
+
 @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
 @pytest.mark.parametrize("kind", PAIR_KINDS)
 def test_eval_word_matches_mat2poly_route(field, kind):
@@ -285,6 +318,48 @@ def test_eval_large_powers_over_f5(kind):
     for text in ("X^64", "Y^-40"):
         w = parse_word(text)
         assert eval_word(w, up) == _mat2poly_route(w, unit_pair(kind, F5)), text
+
+
+# -- the Cayley-Hamilton power against repeated squaring -------------------------
+
+# Every n up to 40, and the exponents around the crossover from binary powering.
+POWER_EXPONENTS = sorted(set(range(41)) | {POWER_CROSSOVER - 1, POWER_CROSSOVER, POWER_CROSSOVER + 1})
+
+
+def _coefficients(field):
+    if field.p == 0:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+def _random_mats(field):
+    entries = st.lists(_coefficients(field), max_size=2)
+    return st.lists(entries, min_size=4, max_size=4).map(lambda e: _as_mat2poly(field, e))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([Q, F2, F3, F5]).flatmap(_random_mats))
+@example(_as_mat2poly(Q, [(0, 1), (1,), (1,), (0, 1)]))  # det T^2 - 1
+@example(_as_mat2poly(F3, [(1, 1), (0, 1), (), (2,)]))  # det 2 + 2T
+@example(_as_mat2poly(Q, [(Fraction(1, 2),), (0, 1), (0, 1), ()]))  # det -T^2
+@example(_as_mat2poly(F2, [(1,), (1,), (1,), (1,)]))  # singular: det 0
+def test_power_matches_repeated_squaring(m):
+    field = m.field
+    entries = [list(p.coeffs) for row in m.e for p in row]
+    for n in POWER_EXPONENTS:
+        assert m ** n == _as_mat2poly(field, _mat_pow(field, entries, n)), n
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_negative_powers_of_shipped_pairs(field, kind):
+    up = unit_pair(kind, field)
+    for m in (up.u, up.v, up.u_inv, up.v_inv):
+        entries = [list(p.coeffs) for row in m.e for p in row]
+        for n in (-1, -2, -POWER_CROSSOVER, -POWER_CROSSOVER - 1, -9, -25):
+            assert m ** n == _as_mat2poly(field, _mat_pow(field, entries, n)), n
+            if field == Q:
+                _assert_fraction_coeffs(m ** n)
 
 
 @pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
@@ -517,7 +592,7 @@ def test_thekey_single_conjugator_dims_match_enumeration_f2():
     elems = []
     for vec in itertools.product((0, 1), repeat=n):
         polys = [UniPoly(F2, vec[1 + k * (d + 1) : 1 + (k + 1) * (d + 1)]) for k in range(4)]
-        elems.append(FCMat(F2, F2(vec[0]), *polys).to_mat2())
+        elems.append(to_mat2(FCMat(F2, F2(vec[0]), *polys)))
     conjugators = _all_conjugators(F2)
     assert len(conjugators) == 11
     for label, u in conjugators:
@@ -541,7 +616,7 @@ def test_thekey_dims_match_rank_of_conjugated_basis(field):
         vec = [field.zero] * n
         vec[k] = field.one
         polys = [UniPoly(field, vec[1 + j * (d + 1) : 1 + (j + 1) * (d + 1)]) for j in range(4)]
-        basis.append(FCMat(field, vec[0], *polys).to_mat2())
+        basis.append(to_mat2(FCMat(field, vec[0], *polys)))
 
     def rows_for(u):
         conds = [FCMat.decompose(u * s * u.inv()) for s in basis]

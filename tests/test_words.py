@@ -322,6 +322,15 @@ def test_memoised_invariants_match_a_recount_up_to_cumulus_five():
         assert word_invariants(w) == recount_invariants(w)
 
 
+def test_memoised_invariants_have_no_instance_dict():
+    # a slotted value: each memo entry carries no per-instance __dict__
+    inv = word_invariants(parse_word("X*Y^-1"))
+    assert not hasattr(inv, "__dict__")
+    with pytest.raises(AttributeError):
+        inv.N = 5
+    assert inv.to_dict()["N"] == 1
+
+
 def test_memo_stays_at_its_bound_when_overfilled():
     memo = words._count_invariants
     memo.cache_clear()

@@ -6,7 +6,8 @@ Each case in CASES is run as ``COMMAND ARG... <case argv>``, and its stdout,
 stderr and exit code are compared with the transcript of the same argv in
 tests/golden_cli.json.  CI runs it with the ``lpifc`` script that pip
 installed, from outside the checkout and with no PYTHONPATH; the test suite
-runs it with ``python -m lpifc.cli``.  The last two cases run the M2 and
+runs it with ``python -m lpifc.cli``.  The ``eval`` case takes a block
+power by Cayley-Hamilton, and the last two cases run the M2 and
 group-algebra builders.  Prints each mismatch and exits 1 if there is any.
 """
 
@@ -23,6 +24,7 @@ CASES = (
     ["word", "X*Y^-1", "--json"],
     ["word", "X*Z"],
     ["grpalg", "--algebra-file", "/nonexistent/lpifc.alg", "--field", "2"],
+    ["eval", "Y^90 - 1", "--field", "3", "--units", "swapped", "--json"],
     ["p1", "--algebra", "m2", "--field", "2", "--g", "T"],
     ["grpalg", "--group", "sym:3", "--field", "3", "--predicates"],
 )
