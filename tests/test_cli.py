@@ -39,7 +39,11 @@ from lpifc.cli import main
 # `X^120 - 1`, `X^40*Y*X^-40*Y^-1 - 1 --units alternate` and `Y^90 - 1
 # --field 3 --units swapped` (with stderr) were recorded at commit 9b15281,
 # where every block power went by binary powering, before large powers
-# went by Cayley-Hamilton.
+# went by Cayley-Hamilton. The text-mode `eval` entries for `X - X` and
+# `X*Y - Y*X --field 3 --units alternate`, the text-mode `verify-tables --cmax
+# 2 --field 3` entry and the `extract-g ... --conj-bound 0` inconclusive
+# entries, in text and --json, were recorded at commit d16055d, where every
+# handler printed its own output, before `main` became the one print site.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 EVALUATIONS = ("eval", "verify-tables")
@@ -313,7 +317,10 @@ def test_extract_g_rejects_a_negative_conj_bound(capsys):
         assert (code, out, err) == (2, "", "error: conj_bound must be non-negative, got -1\n")
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"][:-1]))
+@pytest.mark.parametrize(
+    "case", GOLDEN,
+    ids=lambda c: " ".join(c["argv"][:-1] if c["argv"][-1] == "--json" else c["argv"]),
+)
 def test_golden_eval_and_verify_tables(capsys, case):
     code, out, err = run(capsys, *case["argv"])
     assert code == case["exit"]
