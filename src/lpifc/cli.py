@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import expand as expand_mod
 from . import fcrep, grpalg, search
@@ -28,169 +29,120 @@ from .words import parse_word, word_invariants
 
 NOT_LPI = "NOT an LPI of U(F_C) (certificate attached)"
 INCONCLUSIVE = "no obstruction found (inconclusive)"
+HOLDS = {True: "holds", False: "fails", None: "inconclusive"}
+
+# Each handler returns (record, lines, exit code); main prints the record as
+# JSON under --json, else the lines.
+Output = tuple[dict, list[str], int]
 
 
-def _field_from(args) -> Field:
-    return Field(args.field)
+def _falsifier(record: dict, lines: list[str], nonzero: bool) -> Output:
+    """A nonzero certificate means NOT an LPI (exit 1); a zero one decides
+    nothing."""
+    verdict = NOT_LPI if nonzero else INCONCLUSIVE
+    record.update(nonzero=nonzero, verdict=verdict)
+    return record, lines + [f"verdict: {verdict}"], 1 if nonzero else 0
 
 
-def _emit(args, record: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(record, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _check_verdict(result: grpalg.CheckResult) -> str:
-    return {True: "holds", False: "fails", None: "inconclusive"}[result.holds]
-
-
-def _report_record(args, report: search.CampaignReport) -> dict:
-    return report.to_dict(include_timing=getattr(args, "timings", False))
+def _check(record: dict, headline: str, result: grpalg.CheckResult) -> Output:
+    """A finite-algebra check: exit 1 with its witness printed when it
+    fails."""
+    lines = [headline] + ([f"  witness: {result.witness}"] if result.witness else [])
+    return {**record, **asdict(result)}, lines, 1 if result.holds is False else 0
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
-def cmd_word(args) -> int:
+def cmd_word(args) -> Output:
     w = parse_word(args.expr)
-    invs = word_invariants(w)
-    record = {"word": w.render(), **invs.to_dict()}
-    _emit(args, record, [f"word: {w.render()}"] + [f"  {k} = {v}" for k, v in invs.to_dict().items()])
-    return 0
+    invs = word_invariants(w).to_dict()
+    lines = [f"word: {w.render()}"] + [f"  {k} = {v}" for k, v in invs.items()]
+    return {"word": w.render(), **invs}, lines, 0
 
 
-def cmd_obstruct(args) -> int:
-    field = _field_from(args)
+def cmd_obstruct(args) -> Output:
+    field = Field(args.field)
     f = parse_laurent(args.expr, field)
     if f.is_zero:
         raise InvalidParameter("the zero polynomial has no obstruction matrix")
     mat = obstruction_matrix(f)
-    nonzero = not scalar_mat_is_zero(mat)
-    verdict = NOT_LPI if nonzero else INCONCLUSIVE
     record = {
         "input": f.render(),
         "field": repr(field),
         "cumulus": max_cumulus(f),
         "matrix": render_scalar_mat(mat),
-        "nonzero": nonzero,
-        "verdict": verdict,
     }
-    _emit(
-        args,
-        record,
-        [
-            f"input: {f.render()} over {field!r}",
-            f"max cumulus: {record['cumulus']}",
-            f"obstruction matrix: {record['matrix']}",
-            f"verdict: {verdict}",
-        ],
-    )
-    return 1 if nonzero else 0
+    lines = [
+        f"input: {f.render()} over {field!r}",
+        f"max cumulus: {record['cumulus']}",
+        f"obstruction matrix: {record['matrix']}",
+    ]
+    return _falsifier(record, lines, not scalar_mat_is_zero(mat))
 
 
-def cmd_eval(args) -> int:
-    field = _field_from(args)
+def cmd_eval(args) -> Output:
+    field = Field(args.field)
     f = parse_laurent(args.expr, field)
-    up = fcrep.unit_pair(args.units, field)
-    img = fcrep.eval_laurent(f, up)
-    nonzero = not img.is_zero
-    verdict = NOT_LPI if nonzero else INCONCLUSIVE
+    img = fcrep.eval_laurent(f, fcrep.unit_pair(args.units, field))
     record = {
         "input": f.render(),
         "field": repr(field),
         "units": args.units,
         "matrix": img.render(),
         "degree": None if img.is_zero else int(img.degree),
-        "nonzero": nonzero,
-        "verdict": verdict,
     }
-    _emit(
-        args,
-        record,
-        [
-            f"input: {f.render()} over {field!r} (units: {args.units})",
-            f"evaluation: {img}",
-            f"verdict: {verdict}",
-        ],
-    )
-    return 1 if nonzero else 0
+    lines = [f"input: {f.render()} over {field!r} (units: {args.units})", f"evaluation: {img}"]
+    return _falsifier(record, lines, not img.is_zero)
 
 
-def cmd_in_l(args) -> int:
-    field = _field_from(args)
+def cmd_in_l(args) -> Output:
+    field = Field(args.field)
     m = fcrep.phi_eval(args.expr, field)
     member = m.in_l()
-    record = {
-        "input": args.expr,
-        "field": repr(field),
-        "decomposition": m.to_dict(),
-        "in_l": member,
-    }
-    _emit(
-        args,
-        record,
-        [f"decomposition: {m}", f"in L: {member}"],
-    )
-    return 0
+    record = {"input": args.expr, "field": repr(field), "decomposition": m.to_dict(), "in_l": member}
+    return record, [f"decomposition: {m}", f"in L: {member}"], 0
 
 
-def cmd_extract_g(args) -> int:
-    field = _field_from(args)
+def cmd_extract_g(args) -> Output:
+    field = Field(args.field)
     f = parse_laurent(args.expr, field)
-    up = fcrep.unit_pair(args.units, field)
+    record = {"input": f.render(), "field": repr(field), "units": args.units}
     try:
-        witness = fcrep.extract_g(f, up, conj_bound=args.conj_bound)
+        witness = fcrep.extract_g(f, fcrep.unit_pair(args.units, field), conj_bound=args.conj_bound)
     except StillInL as exc:
-        record = {
-            "input": f.render(),
-            "field": repr(field),
-            "units": args.units,
-            "status": "inconclusive",
-            "detail": str(exc),
-        }
-        _emit(args, record, [f"inconclusive: {exc}"])
-        return 0
-    record = {
-        "input": f.render(),
-        "field": repr(field),
-        "units": args.units,
-        "conj_bound": args.conj_bound,
-        "g": str(witness.g),
-        "sigma": witness.sigma,
-        "tau": witness.tau,
-        "conjugator": witness.conjugator,
-        "verdict": NOT_LPI,
-    }
-    _emit(
-        args,
-        record,
-        [
-            f"g(T) = {witness.g}",
-            f"route: sigma={witness.sigma}, tau={witness.tau}, conjugator={witness.conjugator}",
-            f"verdict: {NOT_LPI}",
-        ],
+        record.update(status="inconclusive", detail=str(exc))
+        return record, [f"inconclusive: {exc}"], 0
+    record.update(
+        conj_bound=args.conj_bound,
+        g=str(witness.g),
+        sigma=witness.sigma,
+        tau=witness.tau,
+        conjugator=witness.conjugator,
+        verdict=NOT_LPI,
     )
-    return 1
+    lines = [
+        f"g(T) = {witness.g}",
+        f"route: sigma={witness.sigma}, tau={witness.tau}, conjugator={witness.conjugator}",
+        f"verdict: {NOT_LPI}",
+    ]
+    return record, lines, 1
 
 
-def cmd_thekey(args) -> int:
-    field = _field_from(args)
+def cmd_thekey(args) -> Output:
+    field = Field(args.field)
     report = fcrep.thekey_solve(field, degree_bound=args.degree_bound)
-    record = report.to_dict()
     lines = [f"conjugation system over {field!r}, degree bound {args.degree_bound}"]
     for stage in report.stages:
         lines.append(f"  after {stage.conjugator}: nullspace dim {stage.nullspace_dim}")
     for rel, holds in report.relations:
         lines.append(f"  relation {rel}: {'holds' if holds else 'fails'}")
     lines.append(f"solution space: {'zero' if report.zero_space else f'dim {report.final_dim}'}")
-    _emit(args, record, lines)
-    return 0 if report.zero_space else 1
+    return report.to_dict(), lines, 0 if report.zero_space else 1
 
 
-def cmd_expand(args) -> int:
-    field = _field_from(args)
+def cmd_expand(args) -> Output:
+    field = Field(args.field)
     f = parse_laurent(args.expr, field)
     ts = expand_mod.expand(f, bound=args.trunc)
     record = {
@@ -212,39 +164,33 @@ def cmd_expand(args) -> int:
         record["minimal_component_sum"] = expand_mod.minimal_component_sum(ts).render()
         lines.append(f"minimal total degree: {m} at {record['minimal_multidegrees']}")
         lines.append(f"minimal component sum: {record['minimal_component_sum']}")
-    _emit(args, record, lines)
-    return 0
+    return record, lines, 0
 
 
-def _campaign_exit(args, report: search.CampaignReport, lines_head: list[str]) -> int:
-    record = _report_record(args, report)
-    lines = lines_head + [
-        f"checked: {report.checked}, passed: {report.passed}, failed: {report.failed}",
-    ]
-    for failure in report.failures[:10]:
-        lines.append(f"  FAILURE {failure}")
-    _emit(args, record, lines)
-    return 0 if report.failed == 0 else 1
+def _campaign_exit(args, report: search.CampaignReport, headline: str) -> Output:
+    lines = [headline, f"checked: {report.checked}, passed: {report.passed}, failed: {report.failed}"]
+    lines += [f"  FAILURE {failure}" for failure in report.failures[:10]]
+    return report.to_dict(include_timing=args.timings), lines, 0 if report.failed == 0 else 1
 
 
-def cmd_verify_tables(args) -> int:
-    field = _field_from(args)
+def cmd_verify_tables(args) -> Output:
+    field = Field(args.field)
     report = search.verify_tables(args.cmax, field)
-    return _campaign_exit(args, report, [f"leading-term table sweep, c <= {args.cmax}, {field!r}"])
+    return _campaign_exit(args, report, f"leading-term table sweep, c <= {args.cmax}, {field!r}")
 
 
-def cmd_support3(args) -> int:
-    field = _field_from(args)
+def cmd_support3(args) -> Output:
+    field = Field(args.field)
     report = search.support3_campaign(
         c_max=args.cmax, fields=[field], coeff_samples=args.coeff_samples, seed=args.seed
     )
-    return _campaign_exit(args, report, [f"three-term-support campaign, c <= {args.cmax}, {field!r}"])
+    return _campaign_exit(args, report, f"three-term-support campaign, c <= {args.cmax}, {field!r}")
 
 
-def cmd_cprime_bound(args) -> int:
-    field = _field_from(args)
+def cmd_cprime_bound(args) -> Output:
+    field = Field(args.field)
     report = search.cprime_bound_campaign(args.cmax, field, samples=args.samples, seed=args.seed)
-    return _campaign_exit(args, report, [f"alternate-pair degree bound, weight <= {args.cmax}, {field!r}"])
+    return _campaign_exit(args, report, f"alternate-pair degree bound, weight <= {args.cmax}, {field!r}")
 
 
 def _algebra_from(spec: str, field: Field) -> grpalg.FinAlgebra:
@@ -265,8 +211,8 @@ def _algebra_from(spec: str, field: Field) -> grpalg.FinAlgebra:
     )
 
 
-def cmd_grpalg(args) -> int:
-    field = _field_from(args)
+def cmd_grpalg(args) -> Output:
+    field = Field(args.field)
     if args.algebra is None:
         raise InvalidParameter("grpalg needs --group, --group-file, or --algebra-file")
     algebra = _algebra_from(args.algebra, field)
@@ -274,11 +220,6 @@ def cmd_grpalg(args) -> int:
     if args.lpi:
         f = parse_laurent(args.lpi, field)
         result = grpalg.falsify_lpi(f, algebra, trials=args.trials, seed=args.seed)
-        record = {
-            "algebra": algebra.name,
-            "input": f.render(),
-            **result.to_dict(),
-        }
         if result.found:
             lines = [
                 f"counterexample on {algebra.name} at trial {result.trial}:",
@@ -287,12 +228,11 @@ def cmd_grpalg(args) -> int:
             ]
         else:
             lines = [f"no counterexample found on {algebra.name} after {result.trials} trials"]
-        _emit(args, record, lines)
-        return 1 if result.found else 0
+        record = {"algebra": algebra.name, "input": f.render(), **asdict(result)}
+        return record, lines, 1 if result.found else 0
 
     if args.predicates:
         report = grpalg.structural_predicates(algebra)
-        record = report.to_dict()
         lines = [
             f"structural predicates on {algebra.name}:",
             f"  idempotents checked ({report.idempotent_mode}): {report.idempotents_checked}",
@@ -302,9 +242,8 @@ def cmd_grpalg(args) -> int:
         ]
         if report.noncentral_idempotent:
             lines.append(f"  noncentral idempotent: {report.noncentral_idempotent}")
-        _emit(args, record, lines)
         ok = report.all_idempotents_central and report.normalizer_criterion_holds
-        return 0 if ok else 1
+        return asdict(report), lines, 0 if ok else 1
 
     record = {
         "algebra": algebra.name,
@@ -312,69 +251,46 @@ def cmd_grpalg(args) -> int:
         "field": repr(field),
         "labels": list(algebra.labels),
     }
-    _emit(args, record, [f"{algebra.name}: dimension {algebra.dim} over {field!r}"])
-    return 0
+    return record, [f"{algebra.name}: dimension {algebra.dim} over {field!r}"], 0
 
 
-def cmd_p1(args) -> int:
-    field = _field_from(args)
+def cmd_p1(args) -> Output:
+    field = Field(args.field)
     algebra = _algebra_from(args.algebra, field)
     g = UniPoly.parse(args.g, field)
     result = grpalg.p1_check(algebra, g, mode=args.mode, samples=args.samples, seed=args.seed)
-    record = {
-        "algebra": algebra.name,
-        "g": str(g),
-        "mode": args.mode,
-        **result.to_dict(),
-    }
-    lines = [f"square-zero vanishing of g = {g} on {algebra.name}: {_check_verdict(result)}"]
-    if result.witness:
-        lines.append(f"  witness: {result.witness}")
-    _emit(args, record, lines)
-    return 1 if result.holds is False else 0
+    return _check(
+        {"algebra": algebra.name, "g": str(g), "mode": args.mode},
+        f"square-zero vanishing of g = {g} on {algebra.name}: {HOLDS[result.holds]}",
+        result,
+    )
 
 
-def cmd_bac(args) -> int:
-    field = _field_from(args)
+def cmd_bac(args) -> Output:
+    field = Field(args.field)
     algebra = _algebra_from(args.algebra, field)
     g = UniPoly.parse(args.g, field)
     result = grpalg.bac_check(algebra, g, mode=args.mode, samples=args.samples, seed=args.seed)
-    record = {
-        "algebra": algebra.name,
-        "g": str(g),
-        "h": str(UniPoly.T(field) * g),
-        "mode": args.mode,
-        **result.to_dict(),
-    }
-    lines = [
-        f"zero-product chain h = T*g with g = {g} on {algebra.name}: "
-        f"{_check_verdict(result)}"
-    ]
-    if result.witness:
-        lines.append(f"  witness: {result.witness}")
-    _emit(args, record, lines)
-    return 1 if result.holds is False else 0
-
-
-def cmd_finitecondi(args) -> int:
-    field = Field(args.q)
-    g = UniPoly.parse(args.g, field)
-    witness = grpalg.finitecondi_witness(args.q, g)
-    record = {"g": str(g), **witness.to_dict()}
-    _emit(
-        args,
-        record,
-        [
-            f"witness over F_{args.q} for g = {g}:",
-            f"  r = {witness.r}, a = {witness.a.render()}, b = {witness.b.render()}",
-            f"  g(ab) = {witness.g_of_ab.render()} (g(r) = {witness.g_of_r})",
-        ],
+    return _check(
+        {"algebra": algebra.name, "g": str(g), "h": str(UniPoly.T(field) * g), "mode": args.mode},
+        f"zero-product chain h = T*g with g = {g} on {algebra.name}: {HOLDS[result.holds]}",
+        result,
     )
-    return 1  # a counterexample witness was found and printed
 
 
-def cmd_standard_poly(args) -> int:
-    field = _field_from(args)
+def cmd_finitecondi(args) -> Output:
+    g = UniPoly.parse(args.g, Field(args.q))
+    witness = grpalg.finitecondi_witness(args.q, g)
+    lines = [
+        f"witness over F_{args.q} for g = {g}:",
+        f"  r = {witness.r}, a = {witness.a.render()}, b = {witness.b.render()}",
+        f"  g(ab) = {witness.g_of_ab.render()} (g(r) = {witness.g_of_r})",
+    ]
+    return {"g": str(g), **witness.to_dict()}, lines, 1  # a witness was found and printed
+
+
+def cmd_standard_poly(args) -> Output:
+    field = Field(args.field)
     algebra = _algebra_from(args.algebra, field)
     if args.elements:
         elems = []
@@ -394,19 +310,17 @@ def cmd_standard_poly(args) -> int:
             "value": value.render(),
             "zero": value.is_zero,
         }
-        _emit(args, record, [f"S_{args.k} = {value.render()}"])
-        return 0
+        return record, [f"S_{args.k} = {value.render()}"], 0
     if args.mode == "exhaustive":
         result = grpalg.standard_poly_exhaustive(algebra, k=args.k)
     else:
         result = grpalg.standard_poly_sampled(algebra, k=args.k, samples=args.samples, seed=args.seed)
-    record = {"algebra": algebra.name, "k": args.k, "mode": args.mode, **result.to_dict()}
     verdict = {True: "vanishes", False: "does not vanish", None: "inconclusive"}[result.holds]
-    lines = [f"S_{args.k} on {algebra.name} ({args.mode}): {verdict} over {result.checked} tuples"]
-    if result.witness:
-        lines.append(f"  witness: {result.witness}")
-    _emit(args, record, lines)
-    return 1 if result.holds is False else 0
+    return _check(
+        {"algebra": algebra.name, "k": args.k, "mode": args.mode},
+        f"S_{args.k} on {algebra.name} ({args.mode}): {verdict} over {result.checked} tuples",
+        result,
+    )
 
 
 # -- parser -------------------------------------------------------------------
@@ -522,7 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        record, lines, code = args.func(args)
+        print(json.dumps(record, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+        return code
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,10 +89,6 @@ class NoWitness(RuntimeError):
     """Witness scan exhausted the field without success; signals a bug."""
 
 
-class DimensionMismatch(UsageError):
-    """Assignment length differs from the variable count."""
-
-
 class AllZero(UsageError):
     """Every component within the truncation bound vanished; raise the bound."""
 

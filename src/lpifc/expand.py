@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import AllZero, DimensionMismatch, InvalidParameter
+from .errors import AllZero, InvalidParameter
 from .exactalg import Field, FieldElem
 from .laurent import LaurentPoly
 from .parsing import render_terms, sparse_sum
-from .words import Word, WordImages
 
 Monomial = tuple[int, ...]
 
@@ -91,9 +90,6 @@ class NCPoly:
         for v in mon:
             counts[v] += 1
         return tuple(counts)
-
-    def is_homogeneous_of(self, multidegree: tuple[int, ...]) -> bool:
-        return all(self.multidegree_of(m) == multidegree for m in self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -229,16 +225,3 @@ def minimal_component_sum(ts: TruncSeries) -> NCPoly:
     minimal length."""
     m, _ = minimal_degree(ts)
     return NCPoly(ts.field, ts.nvars, {mon: c for mon, c in ts.poly.terms.items() if len(mon) == m})
-
-
-def eval_ncpoly(p: NCPoly, assignment: Sequence) -> object:
-    """Substitute algebra elements for the variables and evaluate."""
-    if len(assignment) != p.nvars:
-        raise DimensionMismatch(
-            f"assignment of length {len(assignment)} for {p.nvars} variables"
-        )
-    if not assignment:
-        raise DimensionMismatch("evaluation needs at least one variable")
-    return WordImages(assignment).evaluate(
-        (Word.from_blocks((v, 1) for v in mon), coeff) for mon, coeff in p.terms.items()
-    )

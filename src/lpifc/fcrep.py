@@ -452,11 +452,3 @@ def extract_g(f: LaurentPoly, up: UnitPair, conj_bound: int = 3) -> ExtractedWit
             raise NoSigmaTau(f"product for ({sig_name},{tau_name}) is not of the form g(T)*e11")
         return ExtractedWitness(g=prod.entry(0, 0), sigma=sig_name, tau=tau_name, conjugator=conj_label)
     raise NoSigmaTau("no sigma, tau gave a nonzero product despite r not in L")
-
-
-def g_at_alphabeta(g: UniPoly) -> Mat2Poly:
-    """The image of g(ab): g(0) on the diagonal plus (g(T) - g(0)) at e11."""
-    field = g.field
-    out = Mat2Poly.identity(field).scale(g.constant_term)
-    z = UniPoly.zero(field)
-    return out + Mat2Poly(field, ((g - g.constant_term, z), (z, z)))

@@ -106,11 +106,6 @@ class FiniteGroup:
             cur = self.table[cur][i]
         return out
 
-    @property
-    def is_abelian(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.order) for j in range(self.order))
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -451,10 +446,6 @@ class FinAlgebra:
                     if mul(eij, ek) != mul(ei, mul(ej, ek)):
                         raise InvalidParameter("structure constants are not associative")
 
-    def mul_vec(self, u: Sequence[FieldElem], v: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
-        return tuple(_plain_elem(self.field, c)
-                     for c in self._mul_raw(self._plain(u), self._plain(v)))
-
     def elem(self, coeffs: Sequence) -> AlgebraElem:
         return AlgebraElem(self, coeffs)
 
@@ -673,15 +664,6 @@ class FalsifyResult:
     units: list[str] = dc_field(default_factory=list)
     value: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "trials": self.trials,
-            "trial": self.trial,
-            "units": self.units,
-            "value": self.value,
-        }
-
 
 def _sample_unit(algebra: FinAlgebra, rng: random.Random, strategy: int) -> AlgebraElem:
     if strategy == 0 and algebra.group is not None:
@@ -831,9 +813,6 @@ class CheckResult:
     holds: bool | None
     checked: int
     witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "checked": self.checked, "witness": self.witness}
 
 
 def standard_poly_exhaustive(algebra: FinAlgebra, k: int = 4) -> CheckResult:
@@ -1134,18 +1113,6 @@ class StructuralReport:
     normalizer_pairs_checked: int
     normalizer_criterion_holds: bool
     normalizer_counterexample: dict | None
-
-    def to_dict(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "idempotent_mode": self.idempotent_mode,
-            "idempotents_checked": self.idempotents_checked,
-            "all_idempotents_central": self.all_idempotents_central,
-            "noncentral_idempotent": self.noncentral_idempotent,
-            "normalizer_pairs_checked": self.normalizer_pairs_checked,
-            "normalizer_criterion_holds": self.normalizer_criterion_holds,
-            "normalizer_counterexample": self.normalizer_counterexample,
-        }
 
 
 def _is_central(algebra: FinAlgebra, e: AlgebraElem) -> bool:

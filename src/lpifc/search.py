@@ -127,10 +127,8 @@ def verify_tables(c_max: int, field: Field) -> CampaignReport:
     return _campaign("verify-tables", params, None, start, outcomes())
 
 
-# The most pool words a random_laurent draw takes, and whether it may add an
-# identity term; read at call time.
+# The most pool words a random_laurent draw takes.
 RANDOM_MAX_SUPPORT = 4
-RANDOM_ALLOW_IDENTITY = True
 
 
 def random_laurent(rng: Random, field: Field, pool: Sequence[Word]) -> LaurentPoly:
@@ -139,7 +137,7 @@ def random_laurent(rng: Random, field: Field, pool: Sequence[Word]) -> LaurentPo
     size = rng.randint(1, RANDOM_MAX_SUPPORT)
     support = rng.sample(list(pool), min(size, len(pool)))
     terms = {w: field.random_nonzero(rng) for w in support}
-    if RANDOM_ALLOW_IDENTITY and rng.random() < 0.4:
+    if rng.random() < 0.4:
         terms[Word.identity()] = field.random_nonzero(rng)
     return LaurentPoly(field, terms)
 

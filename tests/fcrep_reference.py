@@ -1,13 +1,13 @@
 """Test-only routes around :mod:`lpifc.fcrep`: the faithfulness check at
-desk scale, the one-variable vanishing exhibit, and the matrix of an
-:class:`FCMat`.  Only tests call them; the library never does.
+desk scale, the one-variable vanishing exhibit, the image of g(ab), and the
+matrix of an :class:`FCMat`.  Only tests call them; the library never does.
 """
 
 from __future__ import annotations
 
 from lpifc.errors import InternalError, ZeroPolynomial
 from lpifc.exactalg import Field, Mat2Poly, UniPoly
-from lpifc.fcrep import FCMat, g_at_alphabeta, phi_monomial
+from lpifc.fcrep import FCMat, phi_monomial
 from lpifc.linalg import Echelon
 
 
@@ -15,6 +15,14 @@ def to_mat2(m: FCMat) -> Mat2Poly:
     """The matrix [[x+T*A, B], [T*C, x+T*D]] that ``FCMat.decompose`` splits."""
     xpoly = UniPoly(m.field, (m.x,))
     return Mat2Poly(m.field, ((xpoly + m.A.shift(1), m.B), (m.C.shift(1), xpoly + m.D.shift(1))))
+
+
+def g_at_alphabeta(g: UniPoly) -> Mat2Poly:
+    """The image of g(ab): g(0) on the diagonal plus (g(T) - g(0)) at e11."""
+    field = g.field
+    out = Mat2Poly.identity(field).scale(g.constant_term)
+    z = UniPoly.zero(field)
+    return out + Mat2Poly(field, ((g - g.constant_term, z), (z, z)))
 
 
 def alternating_monomials(max_len: int) -> list[tuple[int, ...]]:

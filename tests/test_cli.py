@@ -301,13 +301,29 @@ def test_every_input_error_is_a_usage_error():
                if isinstance(obj, type) and issubclass(obj, Exception)}
     bugs = {name for name, cls in classes.items() if not issubclass(cls, errors.UsageError)}
     assert bugs == {"DecompositionFailure", "InternalError", "NoSigmaTau", "NoWitness", "StillInL"}
-    assert len(classes) - len(bugs) == 15  # UsageError and its 14 subclasses
+    assert len(classes) - len(bugs) == 14  # UsageError and its 13 subclasses
 
 
 def test_invalid_field_rejected(capsys):
     code, _, err = run(capsys, "obstruct", "X", "--field", "4")
     assert code == 2
     assert "prime" in err
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_closed_stdout_exits_2(capsys, monkeypatch, json_flag):
+    # main prints once, inside the try that maps OSError to exit 2
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    assert main(["word", "X*Y", *json_flag]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_extract_g_rejects_a_negative_conj_bound(capsys):

@@ -10,23 +10,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpifc.errors import AllZero, DimensionMismatch
+from lpifc.errors import AllZero, UsageError
 from lpifc.exactalg import Field
 from lpifc.expand import (
     NCPoly,
     default_truncation,
-    eval_ncpoly,
     expand,
     minimal_component_sum,
     minimal_degree,
 )
 from lpifc.grpalg import matrix2_algebra, square_zero_algebra
 from lpifc.laurent import LaurentPoly, parse_laurent
-from lpifc.words import WordImages, words_of_weight_at_most
+from lpifc.words import Word, WordImages, words_of_weight_at_most
 
 Q = Field(0)
 F2 = Field(2)
 F3 = Field(3)
+
+
+def is_homogeneous_of(p: NCPoly, multidegree: tuple[int, ...]) -> bool:
+    return all(p.multidegree_of(m) == multidegree for m in p.terms)
+
+
+class DimensionMismatch(UsageError):
+    """Assignment length differs from the variable count."""
+
+
+def eval_ncpoly(p: NCPoly, assignment):
+    """Substitute algebra elements for the variables and evaluate."""
+    if len(assignment) != p.nvars:
+        raise DimensionMismatch(
+            f"assignment of length {len(assignment)} for {p.nvars} variables"
+        )
+    if not assignment:
+        raise DimensionMismatch("evaluation needs at least one variable")
+    return WordImages(assignment).evaluate(
+        (Word.from_blocks((v, 1) for v in mon), coeff) for mon, coeff in p.terms.items()
+    )
 
 
 def test_expand_x_minus_one():
@@ -94,7 +114,7 @@ def test_components_are_homogeneous():
     f = parse_laurent("X*Y*X^-1*Y^-1 - 1", Q)
     ts = expand(f, 4)
     for md, comp in ts.comps.items():
-        assert comp.is_homogeneous_of(md)
+        assert is_homogeneous_of(comp, md)
 
 
 def test_default_truncation_bound():

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fcrep_reference import alternating_monomials, p1_fails_on_fc, phi_images_independent, to_mat2
+from fcrep_reference import (
+    alternating_monomials,
+    g_at_alphabeta,
+    p1_fails_on_fc,
+    phi_images_independent,
+    to_mat2,
+)
 import lpifc
 from lpifc.errors import InvalidLetter, StillInL, ZeroPolynomial
 from lpifc.exactalg import POWER_CROSSOVER, Field, Mat2Poly, UniPoly, scalar_mat
@@ -22,7 +28,6 @@ from lpifc.fcrep import (
     eval_laurent,
     eval_word,
     extract_g,
-    g_at_alphabeta,
     phi_beta,
     phi_eval,
     phi_monomial,

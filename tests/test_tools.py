@@ -1,13 +1,19 @@
 """The CI checks in tools/: the source lint and the golden-transcript replay,
-run on this tree and on broken inputs that they must reject."""
+run on this tree and on broken inputs that they must reject; and the check
+that every def and class in the library has a caller outside the tests."""
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import lpifc
 
 ROOT = Path(__file__).resolve().parents[1]
 LINT = str(ROOT / "tools" / "lint_src.py")
@@ -69,3 +75,60 @@ def test_replay_goldens_rejects_a_wrong_command():
     assert run.returncode == 1
     assert "differs from its golden transcript" in run.stdout
     assert run_python(REPLAY).returncode == 2
+
+
+# -- dead code: a def or class that only tests call -------------------------------
+
+WORD = re.compile(r"[A-Za-z_]\w*")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often each name occurs in the tree: as a name, an attribute, an
+    imported name, or a word of a string other than a docstring (the
+    benchmark's tracer names functions in strings)."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, *DEFS)) and ast.get_docstring(node) is not None}
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            uses[node.name.rpartition(".")[2]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            uses.update(WORD.findall(node.value))
+    return uses
+
+
+def unreferenced_defs(package: Path, *others: Path) -> list[str]:
+    """Each def or class in PACKAGE whose name occurs in PACKAGE and OTHERS
+    only inside its own definition.  Dunder methods and lpifc.__all__ are
+    exempt."""
+    def parsed(root):
+        return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(root.rglob("*.py"))]
+
+    own = parsed(package)
+    total = Counter()
+    for _, tree in own + [pair for root in others for pair in parsed(root)]:
+        total += _uses(tree)
+    return [f"{node.name} at {path.name}:{node.lineno}"
+            for path, tree in own for node in ast.walk(tree)
+            if isinstance(node, DEFS) and not re.fullmatch(r"__\w+__", node.name)
+            and node.name not in lpifc.__all__ and total[node.name] == _uses(node)[node.name]]
+
+
+def test_every_library_def_has_a_caller_outside_the_tests():
+    assert unreferenced_defs(ROOT / "src" / "lpifc", ROOT / "perfbench") == []
+
+
+def test_dead_code_check_flags_a_def_that_only_calls_itself(tmp_path):
+    package = tmp_path / "lpifc"
+    shutil.copytree(ROOT / "src" / "lpifc", package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / "words.py"
+    text = path.read_text()
+    path.write_text(f'{text}\n\ndef _orphan(n):\n    """_orphan"""\n    return _orphan(n - 1)\n')
+    assert unreferenced_defs(package, ROOT / "perfbench") == [
+        f"_orphan at words.py:{text.count(chr(10)) + 3}"
+    ]
