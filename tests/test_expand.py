@@ -143,6 +143,33 @@ def test_all_zero_within_truncation():
         minimal_degree(ts)
 
 
+def test_three_variable_text():
+    # Components of a rank-3 expansion name the variables X1, X2, X3 and list
+    # their terms in graded-lexicographic order of variable indices.
+    f = LaurentPoly(Q, {Word(((0, 1), (2, -1))): 1, Word(((2, 1), (1, 1))): -2, Word(()): 1})
+    ts = expand(f, 3, nvars=3)
+    assert list(ts.to_dict().items()) == [
+        ("0,0,1", "-3*X3"),
+        ("0,1,0", "-2*X2"),
+        ("1,0,0", "X1"),
+        ("0,0,2", "X3*X3"),
+        ("0,1,1", "-2*X3*X2"),
+        ("1,0,1", "-X1*X3"),
+        ("0,0,3", "-X3*X3*X3"),
+        ("1,0,2", "X1*X3*X3"),
+    ]
+    assert minimal_degree(ts) == (1, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+    assert minimal_component_sum(ts).render() == "X1 - 2*X2 - 3*X3"
+    commutator = LaurentPoly(Q, {Word(((0, 1), (2, 1), (0, -1), (2, -1))): 1, Word(()): -1})
+    ts = expand(commutator, 3, nvars=3)
+    assert ts.to_dict() == {
+        "1,0,1": "X1*X3 - X3*X1",
+        "1,0,2": "-X1*X3*X3 + X3*X1*X3",
+        "2,0,1": "-X1*X3*X1 + X3*X1*X1",
+    }
+    assert minimal_component_sum(ts).render() == "X1*X3 - X3*X1"
+
+
 # -- evaluation in algebras ----------------------------------------------------
 
 

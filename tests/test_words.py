@@ -79,6 +79,11 @@ def test_parse_render_roundtrip_random():
         assert parse_word(w.render()) == w
 
 
+def test_words_of_rank_three_render_with_numbered_names():
+    assert Word(((0, 1), (2, -2))).render() == "X1*X3^-2"
+    assert Word(((1, 3), (2, 1), (0, -1))).render() == "X2^3*X3*X1^-1"
+
+
 # -- invariants ------------------------------------------------------------------
 
 
