@@ -161,7 +161,8 @@ def cmd_expand(args) -> Output:
         m, mds = expand_mod.minimal_degree(ts)
         record["minimal_degree"] = m
         record["minimal_multidegrees"] = [list(md) for md in mds]
-        record["minimal_component_sum"] = expand_mod.minimal_component_sum(ts).render()
+        record["minimal_component_sum"] = expand_mod.render_component(
+            expand_mod.minimal_component_sum(ts), ts.nvars)
         lines.append(f"minimal total degree: {m} at {record['minimal_multidegrees']}")
         lines.append(f"minimal component sum: {record['minimal_component_sum']}")
     return record, lines, 0

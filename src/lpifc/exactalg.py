@@ -407,8 +407,6 @@ class UniPoly:
         return _plain_elem(self.field, acc)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (FieldElem, int, Fraction)):
-            other = UniPoly(self.field, (other,))
         return (
             isinstance(other, UniPoly)
             and other.field == self.field

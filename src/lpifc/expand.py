@@ -3,127 +3,53 @@
 Substituting X_i -> 1 + X_i*T_i (and inverses by the alternating geometric
 series) turns a Laurent polynomial into a series whose coefficient at the
 commuting monomial T_1^{i_1}...T_n^{i_n} is a homogeneous noncommutative
-polynomial of degree i_j in X_j.  The component at multidegree zero is the
-scalar f(1,...,1); the minimal total degree m carrying a nonzero component,
-and the sum of the components at that degree, drive the nilpotent-ideal
-vanishing check.
+polynomial of degree i_j in X_j, held as a LaurentPoly on positive words.
+The component at multidegree zero is the scalar f(1,...,1); the minimal
+total degree m carrying a nonzero component, and the sum of the components
+at that degree, drive the nilpotent-ideal vanishing check.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Iterable, Mapping
 
 from .errors import AllZero, InvalidParameter
-from .exactalg import Field, FieldElem
+from .exactalg import Field
 from .laurent import LaurentPoly
 from .parsing import render_terms, sparse_sum
-
-Monomial = tuple[int, ...]
-
-
-def _check_monomials(nvars: int, mons: Iterable[Monomial]) -> None:
-    if any(v < 0 or v >= nvars for mon in mons for v in mon):
-        raise InvalidParameter("monomial variable index out of range")
+from .words import Word
 
 
-def _var_names(nvars: int) -> tuple[str, ...]:
-    if nvars <= 2:
-        return ("X", "Y")[:max(nvars, 1)] if nvars else ()
-    return tuple(f"X{i + 1}" for i in range(nvars))
+def _multidegree(w: Word, nvars: int) -> tuple[int, ...]:
+    """The letter count of each variable in a positive word: the sums of its
+    block exponents by generator."""
+    counts = [0] * nvars
+    for gen, exp in w.blocks:
+        counts[gen] += exp
+    return tuple(counts)
 
 
-class NCPoly:
-    """A polynomial in noncommuting variables X_1..X_n: a finite map from
-    variable-index sequences to nonzero coefficients."""
-
-    __slots__ = ("field", "nvars", "terms")
-
-    def __init__(self, field: Field, nvars: int, terms: Mapping[Monomial, object] = ()):
-        items = list(terms.items() if isinstance(terms, Mapping) else terms)
-        _check_monomials(nvars, (mon for mon, _ in items))
-        self.field = field
-        self.nvars = nvars
-        self.terms = sparse_sum((mon, field(coeff)) for mon, coeff in items)
-
-    def _sum(self, other: "NCPoly", pairs: Iterable[tuple[Monomial, FieldElem]]) -> "NCPoly":
-        """The :func:`sparse_sum` of ``pairs``, built from this and ``other``'s
-        terms, with the constructor's index check if ``other`` has more
-        variables."""
-        out = NCPoly.__new__(NCPoly)
-        out.field, out.nvars, out.terms = self.field, self.nvars, sparse_sum(pairs)
-        if other.nvars > self.nvars:
-            _check_monomials(self.nvars, out.terms)
-        return out
-
-    @classmethod
-    def zero(cls, field: Field, nvars: int) -> "NCPoly":
-        return cls(field, nvars)
-
-    @classmethod
-    def one(cls, field: Field, nvars: int) -> "NCPoly":
-        return cls(field, nvars, {(): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        if other.terms and other.field != self.field:
-            raise InvalidParameter("cannot mix elements of different fields")
-        return self._sum(other, chain(self.terms.items(), other.terms.items()))
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + other.scale(self.field(-1))
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        pairs = ((m1 + m2, c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in other.terms.items())
-        return self._sum(other, pairs)
-
-    def scale(self, c) -> "NCPoly":
-        c = self.field(c)
-        return NCPoly(self.field, self.nvars, {m: v * c for m, v in self.terms.items()})
-
-    def multidegree_of(self, mon: Monomial) -> tuple[int, ...]:
-        counts = [0] * self.nvars
-        for v in mon:
-            counts[v] += 1
-        return tuple(counts)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPoly)
-            and other.field == self.field
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.nvars, frozenset((m, c.v) for m, c in self.terms.items())))
-
-    def render(self) -> str:
-        names = _var_names(self.nvars)
-        # Graded-lexicographic monomial order for deterministic output.
-        mons = sorted(self.terms, key=lambda m: (len(m), m))
-        return render_terms(("*".join(names[v] for v in mon), self.terms[mon].v) for mon in mons)
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"NCPoly({self.render()!r})"
+def render_component(p: LaurentPoly, nvars: int) -> str:
+    """A sum of positive words with each word spelled out letter by letter,
+    ``X*X*Y``, in graded-lexicographic order of the letter sequences.  The
+    variables are X, Y up to two variables and X1..Xn above."""
+    names = ("X", "Y") if nvars <= 2 else tuple(f"X{i + 1}" for i in range(nvars))
+    spelled = {w: tuple(gen for gen, exp in w.blocks for _ in range(exp)) for w in p.terms}
+    order = sorted(spelled, key=lambda w: (len(spelled[w]), spelled[w]))
+    return render_terms(("*".join(names[v] for v in spelled[w]), p.terms[w].v) for w in order)
 
 
 class TruncSeries:
-    """A series truncated at a total-degree bound: one NCPoly with no monomial
-    longer than ``bound``.  The component at a multidegree is the sum of the
-    terms of that multidegree, so it is homogeneous by construction."""
+    """A series truncated at a total-degree bound: one LaurentPoly on positive
+    words in ``nvars`` variables, none of weight above ``bound``.  The
+    component at a multidegree is the sum of the terms of that multidegree,
+    so it is homogeneous by construction."""
 
-    __slots__ = ("bound", "poly")
+    __slots__ = ("bound", "nvars", "poly")
 
-    def __init__(self, bound: int, poly: NCPoly):
+    def __init__(self, bound: int, nvars: int, poly: LaurentPoly):
         self.bound = bound
+        self.nvars = nvars
         self.poly = poly
 
     @property
@@ -131,43 +57,45 @@ class TruncSeries:
         return self.poly.field
 
     @property
-    def nvars(self) -> int:
-        return self.poly.nvars
-
-    @property
-    def comps(self) -> dict[tuple[int, ...], NCPoly]:
+    def comps(self) -> dict[tuple[int, ...], LaurentPoly]:
         """The nonzero components, keyed by multidegree."""
-        groups: dict[tuple[int, ...], dict[Monomial, FieldElem]] = {}
-        for mon, c in self.poly.terms.items():
-            groups.setdefault(self.poly.multidegree_of(mon), {})[mon] = c
-        return {md: NCPoly(self.field, self.nvars, terms) for md, terms in groups.items()}
+        groups: dict[tuple[int, ...], dict] = {}
+        for w, c in self.poly.terms.items():
+            groups.setdefault(_multidegree(w, self.nvars), {})[w] = c
+        return {md: LaurentPoly._from_sum(self.field, terms) for md, terms in groups.items()}
 
-    def component(self, md: tuple[int, ...]) -> NCPoly:
-        return self.comps.get(md, NCPoly.zero(self.field, self.nvars))
+    def component(self, md: tuple[int, ...]) -> LaurentPoly:
+        return self.comps.get(md, LaurentPoly.zero(self.field))
 
     @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
 
+    def _bound_with(self, other: "TruncSeries") -> int:
+        """The bound of a sum or product with a series in as many variables."""
+        if other.nvars != self.nvars:
+            raise InvalidParameter("cannot mix series in different numbers of variables")
+        return min(self.bound, other.bound)
+
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        bound = min(self.bound, other.bound)
+        bound = self._bound_with(other)
         total = self.poly + other.poly
-        kept = {mon: c for mon, c in total.terms.items() if len(mon) <= bound}
-        return TruncSeries(bound, NCPoly(self.field, self.nvars, kept))
+        kept = {w: c for w, c in total.terms.items() if w.weight <= bound}
+        return TruncSeries(bound, self.nvars, LaurentPoly._from_sum(self.field, kept))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        bound = min(self.bound, other.bound)
-        pairs = ((m1 + m2, c1 * c2) for m1, c1 in self.poly.terms.items()
-                 for m2, c2 in other.poly.terms.items() if len(m1) + len(m2) <= bound)
-        return TruncSeries(bound, self.poly._sum(other.poly, pairs))
+        bound = self._bound_with(other)
+        pairs = ((w1 * w2, c1 * c2) for w1, c1 in self.poly.terms.items()
+                 for w2, c2 in other.poly.terms.items() if w1.weight + w2.weight <= bound)
+        return TruncSeries(bound, self.nvars, LaurentPoly._from_sum(self.field, sparse_sum(pairs)))
 
     def scale(self, c) -> "TruncSeries":
-        return TruncSeries(self.bound, self.poly.scale(c))
+        return TruncSeries(self.bound, self.nvars, self.poly.scale(c))
 
     def to_dict(self) -> dict:
         comps = self.comps
         return {
-            ",".join(map(str, md)): comps[md].render()
+            ",".join(map(str, md)): render_component(comps[md], self.nvars)
             for md in sorted(comps, key=lambda m: (sum(m), m))
         }
 
@@ -197,14 +125,14 @@ def expand(f: LaurentPoly, bound: int | None = None, nvars: int | None = None) -
         raise InvalidParameter("declared variable count below the polynomial's rank")
     if n == 0:
         n = 1
-    total = TruncSeries(bound, NCPoly.zero(f.field, n))
+    total = TruncSeries(bound, n, LaurentPoly.zero(f.field))
     for w, coeff in f.terms.items():
-        term = TruncSeries(bound, NCPoly.one(f.field, n))
+        term = TruncSeries(bound, n, LaurentPoly(f.field, {Word.identity(): 1}))
         for gen, exp in w.blocks:
             # C(e, k) = 0 for k > e >= 0, so a positive block stops at e.
             top = bound if exp < 0 else min(exp, bound)
-            block = {(gen,) * k: _binomial(exp, k) for k in range(top + 1)}
-            term = term * TruncSeries(bound, NCPoly(f.field, n, block))
+            block = {Word.generator(gen, k): _binomial(exp, k) for k in range(top + 1)}
+            term = term * TruncSeries(bound, n, LaurentPoly(f.field, block))
         total = total + term.scale(coeff)
     return total
 
@@ -215,13 +143,13 @@ def minimal_degree(ts: TruncSeries) -> tuple[int, list[tuple[int, ...]]]:
     """
     if ts.is_zero:
         raise AllZero("every component vanished within the truncation bound")
-    m = min(len(mon) for mon in ts.poly.terms)
-    mds = sorted({ts.poly.multidegree_of(mon) for mon in ts.poly.terms if len(mon) == m})
+    m = min(w.weight for w in ts.poly.terms)
+    mds = sorted({_multidegree(w, ts.nvars) for w in ts.poly.terms if w.weight == m})
     return m, mds
 
 
-def minimal_component_sum(ts: TruncSeries) -> NCPoly:
+def minimal_component_sum(ts: TruncSeries) -> LaurentPoly:
     """The sum of all components at the minimal total degree: the terms of
-    minimal length."""
+    minimal weight."""
     m, _ = minimal_degree(ts)
-    return NCPoly(ts.field, ts.nvars, {mon: c for mon, c in ts.poly.terms.items() if len(mon) == m})
+    return LaurentPoly._from_sum(ts.field, {w: c for w, c in ts.poly.terms.items() if w.weight == m})

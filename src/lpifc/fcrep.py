@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DecompositionFailure,
@@ -29,7 +29,7 @@ from .errors import (
 from .exactalg import Field, FieldElem, Mat2Poly, UniPoly, _plain_elem
 from .laurent import LaurentPoly
 from .linalg import Echelon
-from .parsing import TokenStream, parse_terms, sparse_sum
+from .parsing import TokenStream, parse_terms
 from .words import Word, WordImages
 
 # -- the representation ----------------------------------------------------
@@ -57,28 +57,28 @@ def phi_monomial(mon: Sequence[int], field: Field) -> Mat2Poly:
     return WordImages((phi_alpha(field), phi_beta(field)))(_word_of(mon))
 
 
-def _read_ab(ts: TokenStream) -> tuple[int]:
+def _read_ab(ts: TokenStream) -> tuple[tuple[int, int]]:
     tok = ts.next()
     if tok.text not in ("a", "b"):
         raise ParseError(f"unknown generator {tok.text!r}; expected a or b", tok.offset)
-    return (0 if tok.text == "a" else 1,)
+    return ((0 if tok.text == "a" else 1, 1),)
 
 
-def parse_fc_expr(text: str, field: Field) -> dict[tuple[int, ...], FieldElem]:
-    """Parse expressions in the square-zero generators, e.g. ``1 + a*b - b*a*b``.
+def parse_fc_expr(text: str, field: Field) -> LaurentPoly:
+    """Parse expressions in the square-zero generators, e.g. ``1 + a*b - b*a*b``,
+    into the LaurentPoly of their words, with a as generator 0 and b as 1.
 
     Letters are ``a`` and ``b``; coefficients are integer or ``a/b`` literals.
     """
-    return sparse_sum((tuple(atoms), c) for atoms, c in parse_terms(text, field, _read_ab))
+    terms = parse_terms(text, field, _read_ab)
+    return LaurentPoly(field, ((Word.from_blocks(atoms), c) for atoms, c in terms))
 
 
-def phi_eval(expr: str | Mapping[tuple[int, ...], object], field: Field) -> "FCMat":
+def phi_eval(text: str, field: Field) -> "FCMat":
     """Evaluate an expression in the square-zero generators through the
     representation and decompose the result."""
-    if isinstance(expr, str):
-        expr = parse_fc_expr(expr, field)
     images = WordImages((phi_alpha(field), phi_beta(field)))
-    return FCMat.decompose(images.evaluate((_word_of(mon), field(c)) for mon, c in expr.items()))
+    return FCMat.decompose(images.evaluate(parse_fc_expr(text, field).terms.items()))
 
 
 @dataclass(frozen=True)

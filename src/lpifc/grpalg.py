@@ -301,9 +301,6 @@ class AlgebraElem:
     def is_zero(self) -> bool:
         return not any(self._c)
 
-    def key(self) -> tuple:
-        return tuple(c.v for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElem)
@@ -312,7 +309,6 @@ class AlgebraElem:
         )
 
     def __hash__(self) -> int:
-        # Equal to the hash of (id, key()): a Fraction hashes like its int.
         return hash((id(self.algebra), self._c))
 
     def is_unit(self) -> bool:
@@ -1135,8 +1131,8 @@ def _averaging_idempotents(algebra: FinAlgebra) -> list[AlgebraElem]:
     out.extend([algebra.one() - e for e in list(out)])
     unique: dict[tuple, AlgebraElem] = {}
     for e in out:
-        if (e * e == e) and e.key() not in unique:
-            unique[e.key()] = e
+        if (e * e == e) and e._c not in unique:
+            unique[e._c] = e
     return list(unique.values())
 
 

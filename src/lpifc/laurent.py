@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import InvalidLetter, InvalidParameter, ParseError, ZeroPolynomial
-from .exactalg import Field, FieldElem, ScalarMat, scalar_mat
+from .exactalg import Coeff, Field, FieldElem, ScalarMat, scalar_mat
 from .parsing import TokenStream, parse_terms, read_exponent, render_terms, sparse_sum
 from .words import (
     Letter,
@@ -30,8 +30,6 @@ from .words import (
     Y_GEN,
     word_invariants,
 )
-
-Coeff = FieldElem | int | Fraction
 
 
 class LaurentPoly:

@@ -64,11 +64,12 @@ class CampaignReport:
 
 
 def _campaign(
-    name: str, params: dict, seed: int | None, start: float, outcomes: Iterable[dict | None]
+    name: str, params: dict, seed: int | None, outcomes: Iterable[dict | None]
 ) -> CampaignReport:
     """Run a campaign's checks, one per item of ``outcomes``: None when the
     check passed, else the failure record with the inputs that reproduce it.
-    The duration is timed from ``start``."""
+    The duration is the time taken to exhaust ``outcomes``."""
+    start = time.perf_counter()
     checked, failures = 0, []
     for outcome in outcomes:
         checked += 1
@@ -105,7 +106,6 @@ def verify_tables(c_max: int, field: Field) -> CampaignReport:
     """For every enumerated word: the primary-pair image has degree exactly
     twice the cumulus, and its leading coefficient is the sign times the
     (beginning, end) table entry."""
-    start = time.perf_counter()
 
     def outcomes():
         up = unit_pair("primary", field)
@@ -124,7 +124,7 @@ def verify_tables(c_max: int, field: Field) -> CampaignReport:
             }
 
     params = {"c_max": c_max, "field": repr(field)}
-    return _campaign("verify-tables", params, None, start, outcomes())
+    return _campaign("verify-tables", params, None, outcomes())
 
 
 # The most pool words a random_laurent draw takes.
@@ -148,7 +148,6 @@ def verify_obstruction_consistency(
     """Random polynomials: the obstruction matrix equals the coefficient of
     T^(2*cumulus) of the primary-pair evaluation, exactly."""
     check_count("sample_count", sample_count)
-    start = time.perf_counter()
 
     def outcomes():
         rng = Random(seed)
@@ -167,7 +166,7 @@ def verify_obstruction_consistency(
             }
 
     params = {"sample_count": sample_count, "c_max": c_max, "field": repr(field)}
-    return _campaign("verify-obstruction-consistency", params, seed, start, outcomes())
+    return _campaign("verify-obstruction-consistency", params, seed, outcomes())
 
 
 def _coefficient_pairs(field: Field, coeff_samples: int, rng: Random):
@@ -215,7 +214,6 @@ def support3_campaign(
     obstruction matrices, transforms, and direct evaluations.  Survivors are
     reported as failures; none are expected."""
     check_count("coeff_samples", coeff_samples)
-    start = time.perf_counter()
     if fields is None:
         fields = [Field(2), Field(3), Field(0)]
 
@@ -239,7 +237,7 @@ def support3_campaign(
                         }
 
     params = {"c_max": c_max, "fields": [repr(f) for f in fields], "coeff_samples": coeff_samples}
-    return _campaign("support3", params, seed, start, outcomes())
+    return _campaign("support3", params, seed, outcomes())
 
 
 def cprime_bound_campaign(
@@ -251,7 +249,6 @@ def cprime_bound_campaign(
     check_count("samples", samples)
     if c_max < 1:
         raise InvalidParameter("c_max must be at least 1")
-    start = time.perf_counter()
     if field is None:
         field = Field(0)
 
@@ -274,4 +271,4 @@ def cprime_bound_campaign(
             }
 
     params = {"c_max": c_max, "field": repr(field), "samples": samples}
-    return _campaign("cprime-bound", params, seed, start, outcomes())
+    return _campaign("cprime-bound", params, seed, outcomes())

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpifc.errors import InvalidParameter, NonConstantDeterminant, ParseError, SingularMatrix, ZeroModulus
@@ -286,6 +286,28 @@ def test_field_elem_eq_implies_equal_hash(case):
             assert hash(x) == hash(other)
     # over Q an element equals its own value; over F_p it equals no raw number
     assert (x == x.v) == (field.p == 0)
+
+
+# Raw numbers, Fractions whose denominator vanishes in F3 or F5, and field
+# elements of every field the polynomials are drawn over.
+scalars = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5])),
+    st.builds(lambda field, v: field(v), fields, st.integers(-6, 6)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(fields.flatmap(lambda f: unipolys(f, max_size=2)), scalars)
+@example(UniPoly.one(Q), 1)
+@example(UniPoly.one(Field(5)), 6)
+@example(UniPoly.one(Field(5)), Fraction(1, 5))
+@example(UniPoly.one(Q), Field(5)(1))
+def test_unipoly_eq_with_a_scalar_never_raises_and_respects_hash(p, other):
+    equal = p == other
+    assert equal == (other == p)
+    if equal:
+        assert hash(p) == hash(other)
 
 
 @PROPERTY_SETTINGS

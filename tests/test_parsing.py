@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from lpifc import parsing
 from lpifc.errors import InvalidParameter, ParseError, ZeroModulus
 from lpifc.exactalg import Field, UniPoly
-from lpifc.expand import NCPoly
+from lpifc.expand import expand, render_component
 from lpifc.fcrep import parse_fc_expr
 from lpifc.laurent import LaurentPoly, parse_laurent
 from lpifc.words import Word
@@ -26,11 +26,12 @@ from lpifc.words import Word
 Q, F3 = Field(0), Field(3)
 
 
-def render_ab(d) -> str:
+def render_ab(p: LaurentPoly) -> str:
     """Signed ``c*a*b`` terms in graded order; the a/b parser reads it back."""
+    spelled = {w: "".join("ab"[g] * e for g, e in w.blocks) for w in p.terms}
     parts = []
-    for mon, c in sorted(d.items(), key=lambda t: (len(t[0]), t[0])):
-        parts.append("*".join([str(c)] + ["ab"[i] for i in mon]))
+    for w in sorted(spelled, key=lambda w: (len(spelled[w]), spelled[w])):
+        parts.append("*".join([str(p.terms[w]), *spelled[w]]))
     text = parts[0] if parts else "0"
     for part in parts[1:]:
         text += " - " + part[1:] if part.startswith("-") else " + " + part
@@ -151,7 +152,6 @@ def coefficients(field):
 words = st.lists(
     st.tuples(st.sampled_from([0, 1]), st.integers(-3, 3).filter(bool)), max_size=3
 ).map(Word.from_blocks)
-monomials = st.lists(st.sampled_from([0, 1]), max_size=3).map(tuple)
 
 
 def laurent_polys(field):
@@ -160,20 +160,18 @@ def laurent_polys(field):
     )
 
 
-def nc_polys(field):
-    return st.lists(st.tuples(monomials, coefficients(field)), max_size=4).map(
-        lambda pairs: NCPoly(field, 2, pairs)
+def positive_polys(field, nvars=2):
+    """Sums of positive words in ``nvars`` variables."""
+    positive_words = st.lists(st.integers(0, nvars - 1), max_size=3).map(
+        lambda letters: Word.from_blocks((v, 1) for v in letters)
+    )
+    return st.lists(st.tuples(positive_words, coefficients(field)), max_size=4).map(
+        lambda pairs: LaurentPoly(field, pairs)
     )
 
 
 def unipolys(field):
     return st.lists(coefficients(field), max_size=5).map(lambda cs: UniPoly(field, cs))
-
-
-def ab_dicts(field):
-    return st.dictionaries(monomials, coefficients(field), max_size=4).map(
-        lambda d: {m: field(c) for m, c in d.items() if field(c)}
-    )
 
 
 def _with_field(make):
@@ -196,29 +194,23 @@ def test_unipoly_render_parses_back(p):
     assert UniPoly.parse(str(p), p.field) == p
 
 
-def nc_polys_in_laurent_names(field):
-    """NCPoly in one or two variables, whose names X, Y parse as Laurent."""
-    def polys(nvars):
-        mons = st.lists(st.integers(0, nvars - 1), max_size=3).map(tuple)
-        return st.lists(st.tuples(mons, coefficients(field)), max_size=4).map(
-            lambda pairs: NCPoly(field, nvars, pairs)
-        )
-
-    return st.integers(1, 2).flatmap(polys)
+def components_in_laurent_names(field):
+    """A variable count of one or two, whose names X, Y parse as Laurent, and
+    a sum of positive words in that many variables."""
+    return st.integers(1, 2).flatmap(lambda n: st.tuples(st.just(n), positive_polys(field, n)))
 
 
 @PROPERTY_SETTINGS
-@given(fields.flatmap(nc_polys_in_laurent_names))
-def test_ncpoly_render_parses_back_as_laurent(p):
-    as_words = [(Word.from_blocks((v, 1) for v in mon), c) for mon, c in p.terms.items()]
-    assert parse_laurent(p.render(), p.field) == LaurentPoly(p.field, as_words)
+@given(fields.flatmap(components_in_laurent_names))
+def test_component_render_parses_back_as_laurent(case):
+    nvars, p = case
+    assert parse_laurent(render_component(p, nvars), p.field) == p
 
 
 @PROPERTY_SETTINGS
-@given(_with_field(ab_dicts))
-def test_ab_render_parses_back(case):
-    field, d = case
-    assert parse_fc_expr(render_ab(d), field) == d
+@given(fields.flatmap(positive_polys))
+def test_ab_render_parses_back(p):
+    assert parse_fc_expr(render_ab(p), p.field) == p
 
 
 def _check_ring_laws(f, g, h):
@@ -238,12 +230,6 @@ def _check_ring_laws(f, g, h):
 @PROPERTY_SETTINGS
 @given(_triples(laurent_polys))
 def test_laurent_ring_laws(polys):
-    _check_ring_laws(*polys)
-
-
-@PROPERTY_SETTINGS
-@given(_triples(nc_polys))
-def test_ncpoly_ring_laws(polys):
     _check_ring_laws(*polys)
 
 
@@ -271,14 +257,17 @@ RENDERED = [
 ]
 
 # Each printer with its variable name and its term order: UniPoly by degree
-# descending, LaurentPoly and NCPoly constant first.
+# descending, LaurentPoly and the component sums of expansions constant first.
 PRINTERS = {
     "UniPoly": ("T", lambda field, d: str(UniPoly(field, [d.get(k, 0) for k in range(3)]))),
     "LaurentPoly": (
         "X",
         lambda field, d: LaurentPoly(field, {Word.generator(0, k): c for k, c in d.items()}).render(),
     ),
-    "NCPoly": ("X", lambda field, d: NCPoly(field, 1, {(0,) * k: c for k, c in d.items()}).render()),
+    "render_component": (
+        "X",
+        lambda field, d: render_component(LaurentPoly(field, {Word.generator(0, k): c for k, c in d.items()}), 1),
+    ),
 }
 
 
@@ -293,7 +282,7 @@ def test_printers_keep_their_term_order():
     coeffs = {0: 1, 1: 1, 2: -3}
     assert PRINTERS["UniPoly"][1](Q, coeffs) == "-3*T^2 + T + 1"
     assert PRINTERS["LaurentPoly"][1](Q, coeffs) == "1 + X - 3*X^2"
-    assert PRINTERS["NCPoly"][1](Q, coeffs) == "1 + X - 3*X*X"
+    assert PRINTERS["render_component"][1](Q, coeffs) == "1 + X - 3*X*X"
 
 
 def test_render_terms_joins_on_the_sign_of_each_term():
@@ -314,7 +303,7 @@ def test_sparse_sum_sums_repeated_keys_and_drops_zeros():
 
 
 def test_sparse_sum_of_polynomial_values():
-    p = NCPoly(Q, 2, {(0, 1): 1})
+    p = parse_laurent("X*Y", Q)
     summed = parsing.sparse_sum([((1, 1), p), ((1, 1), p.scale(-1)), ((2, 0), p)])
     assert summed == {(2, 0): p}
 
@@ -323,8 +312,8 @@ def test_sums_without_the_constructor_still_reject_mixed_rings():
     with pytest.raises(InvalidParameter):
         parse_laurent("X", Q) + parse_laurent("Y", F3)
     with pytest.raises(InvalidParameter):
-        NCPoly(Q, 2, {(0,): 1}) + NCPoly(F3, 2, {(1,): 1})
+        expand(parse_laurent("X", Q), 2, nvars=2) + expand(parse_laurent("Y", F3), 2)
     with pytest.raises(InvalidParameter):
-        NCPoly(Q, 1, {(0,): 1}) + NCPoly(Q, 2, {(1,): 1})
+        expand(parse_laurent("X", Q), 2, nvars=1) + expand(parse_laurent("Y", Q), 2)
     with pytest.raises(InvalidParameter):
-        NCPoly(Q, 1, {(0,): 1}) * NCPoly(Q, 2, {(1,): 1})
+        expand(parse_laurent("X", Q), 2, nvars=1) * expand(parse_laurent("Y", Q), 2)

@@ -7,8 +7,9 @@ stderr and exit code are compared with the transcript of the same argv in
 tests/golden_cli.json.  CI runs it with the ``lpifc`` script that pip
 installed, from outside the checkout and with no PYTHONPATH; the test suite
 runs it with ``python -m lpifc.cli``.  The ``eval`` case takes a block
-power by Cayley-Hamilton, and the last two cases run the M2 and
-group-algebra builders.  Prints each mismatch and exits 1 if there is any.
+power by Cayley-Hamilton, the ``expand`` and ``in-l`` cases read sums of
+words through the power-series expansion and the square-zero parser, and
+the last two cases run the M2 and group-algebra builders.  Prints each mismatch and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ CASES = (
     ["word", "X*Z"],
     ["grpalg", "--algebra-file", "/nonexistent/lpifc.alg", "--field", "2"],
     ["eval", "Y^90 - 1", "--field", "3", "--units", "swapped", "--json"],
+    ["expand", "X*Y*X^-1*Y^-1 - 1", "--field", "0", "--trunc", "4", "--json"],
+    ["in-l", "1 + a*b - 2*b*a*b", "--field", "5"],
     ["p1", "--algebra", "m2", "--field", "2", "--g", "T"],
     ["grpalg", "--group", "sym:3", "--field", "3", "--predicates"],
 )
