@@ -44,6 +44,9 @@ from lpifc.cli import main
 # 2 --field 3` entry and the `extract-g ... --conj-bound 0` inconclusive
 # entries, in text and --json, were recorded at commit d16055d, where every
 # handler printed its own output, before `main` became the one print site.
+# The `grpalg` entries for `dihedral:4`, `quaternion8 --predicates` and
+# `cyclic:2xsym:3` were recorded at commit e01384c, where each group builder
+# wrote its own table loop.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 EVALUATIONS = ("eval", "verify-tables")

@@ -2,6 +2,7 @@
 falsification, standard polynomials, and the vanishing checks."""
 
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -120,6 +121,56 @@ def test_bad_group_spec():
 def test_group_table_validation():
     with pytest.raises(InvalidParameter):
         FiniteGroup([[0, 1], [1, 1]])  # not a group
+
+
+# sha256 of repr((table, labels, name, identity, inverses)) for each spec,
+# recorded at commit e01384c, where each group builder wrote its own table
+# loop; the element orders follow from the tables.
+GROUP_DIGESTS = {
+    "cyclic:1": "802a9452de73d9d14c0167de2804a8855ee6b4ecca50033b92009beb552e7aca",
+    "cyclic:2": "a90564044dee8d01c406423a63d33cb8abb5d3a02ed359a0fdfe2ddb16fae6c1",
+    "cyclic:3": "f63ca9f2f257341adeef8fe5d9fe403bb92008dbb12702cab19821f7a6266b4f",
+    "cyclic:4": "d6f1b06b626f0a1eea44e4cd22edda7b3255e9ffb7a1d3800bc011619680eb50",
+    "cyclic:5": "c78e9f3bc6a94979acd3b8d0f367f21d00418a9d3bf845483310689cc887e87e",
+    "cyclic:6": "00f07703eb807ed27ccc2295487f1d5b40c244ca5168cc8ce2ff91f2270c8320",
+    "cyclic:7": "271810b5ede69fe22372b13b0d02fc705bc252c547e406525ccb359fa649c476",
+    "cyclic:8": "1ea2f1ed6332f05ff12fccd6451a9bfa9c645b8ac991b82f3a4e7703805da2d2",
+    "sym:1": "32ece922f0c059bd9d5d4d505883a739cae7bfd29314b4a98fba9a311d5dcc35",
+    "sym:2": "6b59df65994569625e4931b1229695d1cf426585b6f2e7693898961516f197df",
+    "sym:3": "5e52e234740eef3087b22a2c12bca13444cf22eeba68f33bc49c7858e2ea7bc2",
+    "sym:4": "d29cee5eef0ac10ce0834b525f34bb2c3b870ea51b264364ac5a030a03db87f6",
+    "dihedral:1": "3cd4fa733d14d31b17f4f30e636d80dd54f3b797e82a540f05baf749f4aa0d0d",
+    "dihedral:2": "28c6862793ad1aafdf37d9f6421c74a016e640c1e09f79b628cfe141766772f2",
+    "dihedral:3": "fcbc5bf8dafb1100ac21f3a66d26e565c0453664e2709ceade29d37c14cc2af6",
+    "dihedral:4": "62dc52f5fb0b9ffd22caff1def42bc575fbeae49b696e0107278ee88dfe78b71",
+    "dihedral:5": "380d57b1b272ce2960531b941fd8b6d9834f7e30628bf0f5de3a519e3626442e",
+    "dihedral:6": "d2bb8f07bad754b795e1e26589c4deaea0211596b626ffdfb5700033b22fd593",
+    "dihedral:7": "ddaac1ad7bd143d86c657078a1ed520c5a18094a449d4ae9cd4af0a406b0d897",
+    "dihedral:8": "0f8bc1b949f3b0f6e82cbacaea318d9281616780ff3f627b848d81c15142b54c",
+    "quaternion8": "1fe5361697e930122308645a07d0165160896bf22136d4a2d904adeb2228e78e",
+    "cyclic:2xsym:3": "fef2d2511bb549a7dd502a60f5341e79a129fde828c3a5bdfdfb469e441e79c6",
+    "quaternion8xcyclic:2": "09cecd7b208c10856fd482d79bb587db4a2a35d3220a10dbb5e378087dec0650",
+    "dihedral:3xcyclic:2xcyclic:2": "e76e794112c8caa0fdc617b039ffc954ec520f17b22195d8b7d24965ee162a0b",
+}
+# A dihedral group of order 8 from a rotation and a reflection of a square.
+SQUARE_GROUP = "perm-group\ndegree 4\ngen 1 2 3 0\ngen 3 2 1 0\n"
+
+
+def _group_digest(g: FiniteGroup) -> str:
+    return hashlib.sha256(repr((g.table, g.labels, g.name, g.identity, g.inverses)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", GROUP_DIGESTS)
+def test_group_builders_are_pinned(spec):
+    assert _group_digest(build_group(spec)) == GROUP_DIGESTS[spec]
+
+
+def test_group_file_is_pinned(tmp_path):
+    path = tmp_path / "square.grp"
+    path.write_text(SQUARE_GROUP)
+    assert _group_digest(load_group(str(path))) == (
+        "75dab5ab76809312515a5ab2218a2bf51f55e6b4e8e5767ca62979bb186826f6"
+    )
 
 
 # -- algebras ------------------------------------------------------------------

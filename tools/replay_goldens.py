@@ -9,7 +9,8 @@ installed, from outside the checkout and with no PYTHONPATH; the test suite
 runs it with ``python -m lpifc.cli``.  The ``eval`` case takes a block
 power by Cayley-Hamilton, the ``expand`` and ``in-l`` cases read sums of
 words through the power-series expansion and the square-zero parser, and
-the last two cases run the M2 and group-algebra builders.  Prints each mismatch and exits 1 if there is any.
+the last three cases run the M2, group-algebra and product-group builders.
+Prints each mismatch and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ CASES = (
     ["in-l", "1 + a*b - 2*b*a*b", "--field", "5"],
     ["p1", "--algebra", "m2", "--field", "2", "--g", "T"],
     ["grpalg", "--group", "sym:3", "--field", "3", "--predicates"],
+    ["grpalg", "--group", "cyclic:2xsym:3", "--field", "2", "--json"],
 )
 
 
