@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / verified / no counterexample found (inconclusive
 results included); 1 = a property was violated or a counterexample/witness
-was found (and printed); 2 = usage or parse error.
+was found (and printed); 2 = usage or parse error, or an internal error
+(``lpifc.errors.InternalError``, a bug) printed as ``internal error:``.
 
 Verdicts for identity checks are strictly three-valued: "NOT an LPI
 (certificate attached)", "no obstruction found (inconclusive)", or an input
@@ -22,9 +23,10 @@ from dataclasses import asdict
 
 from . import expand as expand_mod
 from . import fcrep, grpalg, search
-from .errors import InvalidParameter, NoSigmaTau, StillInL, UsageError
+from .errors import InternalError, InvalidParameter, StillInL, UsageError
 from .exactalg import Field, UniPoly, render_scalar_mat, scalar_mat_is_zero
 from .laurent import max_cumulus, obstruction_matrix, parse_laurent
+from .parsing import parse_int
 from .words import parse_word, word_invariants
 
 NOT_LPI = "NOT an LPI of U(F_C) (certificate attached)"
@@ -297,7 +299,7 @@ def cmd_standard_poly(args) -> Output:
         elems = []
         for chunk in args.elements.split(";"):
             try:
-                coeffs = [int(tok) for tok in chunk.split(",")]
+                coeffs = [parse_int(tok) for tok in chunk.split(",")]
             except ValueError:
                 raise InvalidParameter(
                     f"--elements coefficients must be integers, got {chunk!r}"
@@ -443,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NoSigmaTau as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@ parameter.
 
 Every error raised on a violated precondition names the precondition in its
 message.  The classes that report bad input derive from ``UsageError``, which
-the CLI turns into exit code 2; the others signal bugs.
+the CLI turns into exit code 2.  ``InternalError`` and its subclass signal
+bugs; the CLI prints them as ``internal error:`` with exit code 2 too.
 """
 
 
@@ -53,20 +54,17 @@ class InvalidLetter(UsageError):
     """A letter outside the four generators X, X^-1, Y, Y^-1."""
 
 
-class DecompositionFailure(ArithmeticError):
-    """A matrix fell outside the represented subalgebra; signals a bug."""
-
-
 class InternalError(ArithmeticError):
-    """An exact computation contradicted a fixed closed form; signals a bug."""
+    """An exact computation contradicted a fixed closed form or a proven
+    bound; signals a bug."""
+
+
+class DecompositionFailure(InternalError):
+    """A matrix fell outside the represented subalgebra; signals a bug."""
 
 
 class StillInL(RuntimeError):
     """Witness extraction inconclusive: no tried conjugate left the L ideal."""
-
-
-class NoSigmaTau(RuntimeError):
-    """No nonzero sigma*r*tau product despite r not in L; signals a bug."""
 
 
 class NonInvertibleOrder(UsageError):
@@ -83,10 +81,6 @@ class ArityMismatch(UsageError):
 
 class TooLargeForExhaustive(UsageError):
     """Exhaustive enumeration would exceed the configured element bound."""
-
-
-class NoWitness(RuntimeError):
-    """Witness scan exhausted the field without success; signals a bug."""
 
 
 class AllZero(UsageError):

@@ -17,7 +17,7 @@ from .errors import AllZero, InvalidParameter
 from .exactalg import Field
 from .laurent import LaurentPoly
 from .parsing import render_terms, sparse_sum
-from .words import Word
+from .words import Word, variable_names
 
 
 def _multidegree(w: Word, nvars: int) -> tuple[int, ...]:
@@ -31,9 +31,9 @@ def _multidegree(w: Word, nvars: int) -> tuple[int, ...]:
 
 def render_component(p: LaurentPoly, nvars: int) -> str:
     """A sum of positive words with each word spelled out letter by letter,
-    ``X*X*Y``, in graded-lexicographic order of the letter sequences.  The
-    variables are X, Y up to two variables and X1..Xn above."""
-    names = ("X", "Y") if nvars <= 2 else tuple(f"X{i + 1}" for i in range(nvars))
+    ``X*X*Y``, in graded-lexicographic order of the letter sequences, in the
+    :func:`~lpifc.words.variable_names` of ``nvars``."""
+    names = variable_names(nvars)
     spelled = {w: tuple(gen for gen, exp in w.blocks for _ in range(exp)) for w in p.terms}
     order = sorted(spelled, key=lambda w: (len(spelled[w]), spelled[w]))
     return render_terms(("*".join(names[v] for v in spelled[w]), p.terms[w].v) for w in order)

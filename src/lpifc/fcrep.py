@@ -20,7 +20,6 @@ from .errors import (
     DecompositionFailure,
     InternalError,
     InvalidParameter,
-    NoSigmaTau,
     ParseError,
     StillInL,
     ZeroPolynomial,
@@ -449,6 +448,6 @@ def extract_g(f: LaurentPoly, up: UnitPair, conj_bound: int = 3) -> ExtractedWit
             and prod.entry(1, 1).is_zero
             and prod.entry(0, 0).constant_term.is_zero
         ):
-            raise NoSigmaTau(f"product for ({sig_name},{tau_name}) is not of the form g(T)*e11")
+            raise InternalError(f"product for ({sig_name},{tau_name}) is not of the form g(T)*e11")
         return ExtractedWitness(g=prod.entry(0, 0), sigma=sig_name, tau=tau_name, conjugator=conj_label)
-    raise NoSigmaTau("no sigma, tau gave a nonzero product despite r not in L")
+    raise InternalError("no sigma, tau gave a nonzero product despite r not in L")

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
+    InternalError,
     InvalidParameter,
     NonInvertibleOrder,
     NotAUnit,
-    NoWitness,
     ParseError,
     TooLargeForExhaustive,
     ZeroPolynomial,
@@ -30,6 +30,7 @@ from .errors import (
 from .exactalg import Field, FieldElem, UniPoly, _plain_elem, _reduce, binary_power
 from .laurent import LaurentPoly
 from .linalg import solve
+from .parsing import is_digits, parse_int
 from .words import Word, WordImages
 
 # -- finite groups -----------------------------------------------------------
@@ -86,19 +87,6 @@ class FiniteGroup:
             inv.append(j)
         return tuple(inv)
 
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.inverses[i]
-
-    def element_order(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity:
-            cur = self.table[cur][i]
-            k += 1
-        return k
-
     def cyclic_subgroup(self, i: int) -> list[int]:
         out, cur = [self.identity], i
         while cur != self.identity:
@@ -110,87 +98,71 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _tabulate(elements: Sequence, mul, labels: Sequence[str], name: str) -> FiniteGroup:
+    """The group of ``elements`` under ``mul``, indexed in the order given."""
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup([[index[mul(x, y)] for y in elements] for x in elements], labels, name)
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p*q)(i) = p(q(i)) on permutations given as image tuples."""
+    return tuple(p[i] for i in q)
+
+
+def _permutation_group(perms, name: str) -> FiniteGroup:
+    """The group of the given permutations in lexicographic order."""
+    perms = sorted(perms)
+    return _tabulate(perms, _compose, ["".join(map(str, p)) for p in perms], name)
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParameter("cyclic group order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(table, labels, name=f"cyclic({n})")
+    return _tabulate(range(n), lambda i, j: (i + j) % n, labels, f"cyclic({n})")
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 4:
         raise InvalidParameter("symmetric groups are supported for n <= 4")
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    # (p*q)(i) = p(q(i))
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    labels = ["".join(map(str, p)) for p in perms]
-    return FiniteGroup(table, labels, name=f"sym({n})")
+    return _permutation_group(itertools.permutations(range(n)), f"sym({n})")
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParameter("dihedral parameter must be positive")
-    # elements r^i s^a, product: (i,a)(j,b) = (i + j*(-1)^a mod n, a+b mod 2)
-    def idx(i, a):
-        return a * n + i
+    # r^i s^a as (i, a), rotations first.
+    def mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        (i, a), (j, b) = x, y
+        return (i + (-1) ** a * j) % n, (a + b) % 2
 
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for a in range(2):
-            for j in range(n):
-                for b in range(2):
-                    k = (i + (j if a == 0 else -j)) % n
-                    table[idx(i, a)][idx(j, b)] = idx(k, (a + b) % 2)
-    labels = []
-    for a in range(2):
-        for i in range(n):
-            base = "1" if i == 0 else ("r" if i == 1 else f"r^{i}")
-            labels.append(base if a == 0 else ("s" if i == 0 else f"{base}*s"))
-    return FiniteGroup(table, labels, name=f"dihedral({n})")
+    elements = [(i, a) for a in range(2) for i in range(n)]
+    rotations = ["1" if i == 0 else "r" if i == 1 else f"r^{i}" for i in range(n)]
+    labels = rotations + ["s"] + [f"{r}*s" for r in rotations[1:]]
+    return _tabulate(elements, mul, labels, f"dihedral({n})")
 
 
 def quaternion_group() -> FiniteGroup:
-    # order: 1, -1, i, -i, j, -j, k, -k
-    labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
+    # 1, -1, i, -i, j, -j, k, -k as (sign, unit); i*j = k, j*k = i, k*i = j
+    # and x*x = -1 give every product of units.
+    def mul(x: tuple[int, str], y: tuple[int, str]) -> tuple[int, str]:
+        (s, u), (t, v) = x, y
+        if u == "1" or v == "1":
+            return s * t, u if v == "1" else v
+        if u == v:
+            return -s * t, "1"
+        sign = 1 if u + v in "ijki" else -1  # i*j, j*k, k*i
+        return sign * s * t, next(w for w in "ijk" if w not in u + v)
 
-    def mul(x: str, y: str) -> str:
-        sx = -1 if x.startswith("-") else 1
-        sy = -1 if y.startswith("-") else 1
-        bx, by = x.lstrip("-"), y.lstrip("-")
-        rules = {
-            ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-            ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-            ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-        }
-        s, b = rules[(bx, by)]
-        s *= sx * sy
-        return b if s == 1 else f"-{b}"
-
-    index = {lab: i for i, lab in enumerate(labels)}
-    table = [[index[mul(x, y)] for y in labels] for x in labels]
-    return FiniteGroup(table, labels, name="quaternion8")
+    elements = [(s, u) for u in "1ijk" for s in (1, -1)]
+    return _tabulate(elements, mul, [u if s > 0 else f"-{u}" for s, u in elements], "quaternion8")
 
 
 def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    n, m = g.order, h.order
-
-    def idx(i, j):
-        return i * m + j
-
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for i in range(n):
-        for j in range(m):
-            for k in range(n):
-                for l in range(m):
-                    table[idx(i, j)][idx(k, l)] = idx(g.table[i][k], h.table[j][l])
-    labels = [f"({g.labels[i]},{h.labels[j]})" for i in range(n) for j in range(m)]
-    return FiniteGroup(table, labels, name=f"{g.name}x{h.name}")
+    elements = list(itertools.product(range(g.order), range(h.order)))
+    labels = [f"({g.labels[i]},{h.labels[j]})" for i, j in elements]
+    return _tabulate(elements, lambda x, y: (g.table[x[0]][y[0]], h.table[x[1]][y[1]]),
+                     labels, f"{g.name}x{h.name}")
 
 
 def build_group(spec: str) -> FiniteGroup:
@@ -218,7 +190,7 @@ def build_group(spec: str) -> FiniteGroup:
 
 
 def _int_arg(arg: str, part: str) -> int:
-    if not arg or not arg.isdigit():
+    if not is_digits(arg):
         raise InvalidParameter(f"group spec {part!r} needs an integer parameter")
     return int(arg)
 
@@ -567,19 +539,9 @@ def load_group(path: str) -> FiniteGroup:
     elements = {identity}
     frontier = [identity]
     while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(degree))
-                if q not in elements:
-                    elements.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    ordered = sorted(elements)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = [[index[tuple(p[q[i]] for i in range(degree))] for q in ordered] for p in ordered]
-    labels = ["".join(map(str, p)) for p in ordered]
-    return FiniteGroup(table, labels, name="file-group")
+        frontier = {q for p in frontier for g in gens if (q := _compose(p, g)) not in elements}
+        elements.update(frontier)
+    return _permutation_group(elements, "file-group")
 
 
 def _directive_lines(path: str, header: str) -> list[tuple[int, list[str]]]:
@@ -605,7 +567,7 @@ def _int_fields(parts: list[str], lineno: int, ints: int, rest: int = 0) -> list
     fields = parts[1:]
     if len(fields) < ints + rest:
         raise ParseError(f"too few fields for {parts[0]!r}: expected {ints + rest}", line=lineno)
-    bad = [tok for tok in fields[:ints] if not tok.isdecimal()]
+    bad = [tok for tok in fields[:ints] if not is_digits(tok)]
     if bad:
         raise ParseError(f"{parts[0]!r} takes non-negative integers, got {bad[0]!r}", line=lineno)
     return [int(tok) for tok in fields[:ints]] + fields[ints : ints + rest]
@@ -613,10 +575,10 @@ def _int_fields(parts: list[str], lineno: int, ints: int, rest: int = 0) -> list
 
 def _parse_scalar(tok: str, field: Field, lineno: int) -> FieldElem:
     try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            return field.from_fraction(int(num), int(den))
-        return field(int(tok))
+        num, slash, den = tok.partition("/")
+        if slash:
+            return field.from_fraction(parse_int(num), parse_int(den))
+        return field(parse_int(num))
     except ValueError as exc:
         raise ParseError(f"bad scalar {tok!r}: {exc}", line=lineno) from exc
 
@@ -630,9 +592,9 @@ def hat(algebra: FinAlgebra, g: int, normalized: bool = False) -> AlgebraElem:
     if algebra.group is None:
         raise InvalidParameter("hat requires a group algebra")
     subgroup = algebra.group.cyclic_subgroup(g)
-    vec = [algebra.field.zero] * algebra.dim
+    vec = [0] * algebra.dim
     for h in subgroup:
-        vec[h] = vec[h] + algebra.field.one
+        vec[h] = 1
     elem = AlgebraElem(algebra, vec)
     if not normalized:
         return elem
@@ -1093,7 +1055,7 @@ def finitecondi_witness(q: int, g: UniPoly) -> FinitecondiWitness:
             return FinitecondiWitness(
                 q=q, r=r, a=a, b=b, g_of_r=g(r), g_of_ab=poly_at(g, a * b)
             )
-    raise NoWitness("every field element is a root despite deg g < q; arithmetic bug")
+    raise InternalError("every field element is a root despite deg g < q; arithmetic bug")
 
 
 # -- structural predicates on group algebras ------------------------------------
@@ -1121,7 +1083,7 @@ def _averaging_idempotents(algebra: FinAlgebra) -> list[AlgebraElem]:
     out = [algebra.zero(), algebra.one()]
     p = field.p
     for g in range(group.order):
-        m = group.element_order(g)
+        m = len(group.cyclic_subgroup(g))
         if p and m % p == 0:
             continue
         out.append(hat(algebra, g, normalized=True))
@@ -1168,8 +1130,8 @@ def structural_predicates(algebra: FinAlgebra) -> StructuralReport:
         for h in range(group.order):
             pairs_checked += 1
             lhs_zero = (g_minus_1 * algebra.basis(h) * hat_g).is_zero
-            hinv = group.inverse(h)
-            conj = {group.mult(group.mult(h, x), hinv) for x in subgroup}
+            hinv = group.inverses[h]
+            conj = {group.table[group.table[h][x]][hinv] for x in subgroup}
             normalizes = conj == subgroup
             if lhs_zero != normalizes:
                 counterexample = {

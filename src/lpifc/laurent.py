@@ -28,6 +28,7 @@ from .words import (
     WordImages,
     X_GEN,
     Y_GEN,
+    variable_names,
     word_invariants,
 )
 
@@ -110,8 +111,9 @@ class LaurentPoly:
         return hash((self.field.p, tuple(sorted(((w, c.v) for w, c in self.terms.items()), key=lambda t: t[0].sort_key()))))
 
     def render(self) -> str:
+        names = variable_names(self.nvars)
         return render_terms(
-            ("" if w.is_identity else w.render(), self.terms[w].v) for w in self.support()
+            ("" if w.is_identity else w.render(names), self.terms[w].v) for w in self.support()
         )
 
     def __str__(self) -> str:

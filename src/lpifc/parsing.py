@@ -12,7 +12,8 @@ with non-negative exponents.  :func:`render_terms` prints such a sum back.
 Words (:func:`lpifc.words.parse_word`) have a grammar of their own, with no
 coefficients and no signs.
 
-Tokens: integers, single-letter names, and the punctuation ``* ^ + - /``.
+Tokens: integers in the ASCII digits 0-9, single-letter names, and the
+punctuation ``* ^ + - /``.
 Whitespace separates tokens and is otherwise ignored.  Every token carries the
 byte offset of its first character so parse errors can point at the input.
 """
@@ -44,9 +45,9 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             tokens.append(Token("int", text[i:j], i))
             i = j
@@ -62,6 +63,22 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(Token("end", "", n))
     return tokens
+
+
+def is_digits(text: str) -> bool:
+    """Whether ``text`` is a non-empty run of the ASCII digits 0-9, the
+    natural-number literal of the file formats and the CLI, as
+    :func:`tokenize` reads it in expressions.  ``str.isdigit`` also takes
+    ``²`` and ``٣``; ``int`` also takes ``1_0``, ``١`` and spaces."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_int(text: str) -> int:
+    """An integer literal: ASCII digits after an optional ``-``.  Anything
+    else raises ValueError."""
+    if not is_digits(text.removeprefix("-")):
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(text)
 
 
 class TokenStream:

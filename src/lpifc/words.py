@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IdentityWord, InternalError, InvalidParameter, ParseError
 from .exactalg import binary_power
@@ -34,7 +34,10 @@ from .parsing import TokenStream, read_exponent
 X_GEN = 0
 Y_GEN = 1
 
-_GEN_NAMES = ("X", "Y")
+
+def variable_names(n: int) -> tuple[str, ...]:
+    """The names of n variables: X, Y up to two variables and X1..Xn above."""
+    return ("X", "Y") if n <= 2 else tuple(f"X{i + 1}" for i in range(n))
 
 
 class Letter(enum.Enum):
@@ -132,10 +135,12 @@ class Word:
     def sort_key(self):
         return self.blocks
 
-    def render(self) -> str:
+    def render(self, names: Sequence[str] = ()) -> str:
+        """The word in ``names``, by default :func:`variable_names` of its
+        rank; a polynomial passes the names of its own rank."""
         if not self.blocks:
             return "1"
-        names = _GEN_NAMES if self.rank <= 2 else tuple(f"X{g + 1}" for g in range(self.rank))
+        names = names or variable_names(self.rank)
         parts = []
         for gen, exp in self.blocks:
             name = names[gen]
@@ -409,8 +414,4 @@ def words_of_weight_at_most(max_weight: int) -> Iterator[Word]:
                     yield Word(new)
                     yield from extend(new, remaining - mag)
 
-    seen = set()
-    for w in extend((), max_weight):
-        if w not in seen:
-            seen.add(w)
-            yield w
+    yield from extend((), max_weight)

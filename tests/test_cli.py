@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from lpifc import fcrep
 from lpifc.cli import main
+from lpifc.exactalg import Field, Mat2Poly
 
 # Exact stdout and exit codes. The `eval` and `verify-tables` --json entries
 # were recorded with the Mat2Poly evaluation route (commit 0676dcd) before
@@ -303,8 +305,80 @@ def test_every_input_error_is_a_usage_error():
     classes = {name: obj for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, Exception)}
     bugs = {name for name, cls in classes.items() if not issubclass(cls, errors.UsageError)}
-    assert bugs == {"DecompositionFailure", "InternalError", "NoSigmaTau", "NoWitness", "StillInL"}
+    assert bugs == {"DecompositionFailure", "InternalError", "StillInL"}
     assert len(classes) - len(bugs) == 14  # UsageError and its 13 subclasses
+
+
+# Planted bugs, one per raise of InternalError or its subclass.
+
+
+def _swap_beta_for_alpha(mp):
+    # u = (1+aba)(1+a) misses the fixed display of the primary u
+    mp.setattr(fcrep, "phi_beta", fcrep.phi_alpha)
+
+
+def _shear_conjugator(mp):
+    # lower-left constant 1: its conjugates leave the represented image
+    mp.setattr(fcrep, "default_conjugators",
+               lambda field: [("shear", Mat2Poly.from_scalars(field, ((1, 0), (1, 1))))])
+
+
+def _zero_ab(mp):
+    # ab maps to zero, so no sigma*r*tau route of extract-g is nonzero
+    image = fcrep.phi_monomial
+    mp.setattr(fcrep, "phi_monomial", lambda mon, field: (
+        Mat2Poly.zero(field) if tuple(mon) == (0, 1) else image(mon, field)))
+
+
+def _no_field_elements(mp):
+    mp.setattr(Field, "elements", lambda self: iter(()))
+
+
+PLANTED_BUGS = {
+    "unit-pair display": (_swap_beta_for_alpha, ["eval", "X - 1"], "primary u = "),
+    "decomposition": (_shear_conjugator, ["thekey", "--degree-bound", "1"], "lower-left entry"),
+    "no sigma, tau": (_zero_ab, ["extract-g", "X - 1"], "no sigma, tau"),
+    "no witness": (_no_field_elements, ["finitecondi", "--q", "3", "--g", "T"], "every field"),
+}
+
+
+@pytest.mark.parametrize("bug", PLANTED_BUGS)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_every_bug_signal_exits_2(capsys, monkeypatch, bug, json_flag):
+    plant, argv, message = PLANTED_BUGS[bug]
+    plant(monkeypatch)
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"internal error: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+# Each number, with the index of its first character that is not an ASCII
+# digit: str.isdigit takes the first three, int takes all four.
+@pytest.mark.parametrize("number, bad", [("²", 0), ("٣", 0), ("１", 0), ("1_0", 1)])
+def test_numbers_take_ascii_digits_only(capsys, tmp_path, number, bad):
+    at = f"(at offset {2 + bad})"  # after "X^" or "T^"
+    cases = [
+        (["word", f"X^{number}"], at),
+        (["obstruct", f"X^{number}"], at),
+        (["eval", f"X^{number} - 1"], at),
+        (["p1", "--algebra", "m2", "--field", "3", "--g", f"T^{number}"], at),
+        (["standard-poly", "--algebra", "m2", "--field", "3", "--k", "2",
+          "--elements", f"1,0,0,0;0,{number},0,0"], f"got '0,{number},0,0'"),
+        (["grpalg", "--group", f"cyclic:{number}", "--field", "2"], f"'cyclic:{number}'"),
+    ]
+    files = (f"algebra\ndim {number}\nunity 1 0\n",
+             f"algebra\ndim 1\nunity {number}\n",
+             f"algebra\ndim 1\nunity 1\nsc 0 0 0 1/{number}\n")
+    for line, text in enumerate(files, 2):
+        alg = tmp_path / f"bad{line}.alg"
+        alg.write_text(text)
+        cases.append((["grpalg", "--algebra-file", str(alg), "--field", "3"], f"(at line {line})"))
+    for argv, where in cases:
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, *argv, *json_flag)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and where in err and err.count("\n") == 1, argv
 
 
 def test_invalid_field_rejected(capsys):

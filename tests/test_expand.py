@@ -176,6 +176,17 @@ def test_three_variable_text():
     assert render_component(minimal_component_sum(ts), 3) == "X1*X3 - X3*X1"
 
 
+def test_polynomial_text_names_its_variables_by_its_rank():
+    # Every word of a rank-3 polynomial prints in X1, X2, X3, also a word of
+    # rank 1 or 2; a polynomial of rank 2 or less prints in X, Y.
+    f = LaurentPoly(Q, {Word(((0, 1), (2, -1))): 1, Word(((2, 1), (1, 1))): -2, Word(()): 1})
+    assert minimal_component_sum(expand(f, 3, nvars=3)).render() == "X1 - 2*X2 - 3*X3"
+    g = LaurentPoly(Q, {Word(((0, 1), (2, -1))): 1, Word(((1, 2),)): 5})
+    assert g.render() == "X1*X3^-1 + 5*X2^2"
+    assert str(Word(((1, 2),))) == "Y^2"
+    assert LaurentPoly(Q, {Word(((0, 1),)): 1, Word(((1, 1),)): -2}).render() == "X - 2*Y"
+
+
 # -- evaluation in algebras ----------------------------------------------------
 
 

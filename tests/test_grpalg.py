@@ -98,8 +98,8 @@ def test_quaternion_every_subgroup_normal():
     for x in range(g.order):
         subgroup = set(g.cyclic_subgroup(x))
         for h in range(g.order):
-            hinv = g.inverse(h)
-            conj = {g.mult(g.mult(h, s), hinv) for s in subgroup}
+            hinv = g.inverses[h]
+            conj = {g.table[g.table[h][s]][hinv] for s in subgroup}
             assert conj == subgroup
 
 
