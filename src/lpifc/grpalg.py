@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[i] for i in q)
 
 
-def _permutation_group(perms, name: str) -> FiniteGroup:
+def _permutation_group(perms: Iterable[tuple[int, ...]], name: str) -> FiniteGroup:
     """The group of the given permutations in lexicographic order."""
     perms = sorted(perms)
     return _tabulate(perms, _compose, ["".join(map(str, p)) for p in perms], name)
