@@ -48,7 +48,11 @@ from lpifc.exactalg import Field, Mat2Poly
 # handler printed its own output, before `main` became the one print site.
 # The `grpalg` entries for `dihedral:4`, `quaternion8 --predicates` and
 # `cyclic:2xsym:3` were recorded at commit e01384c, where each group builder
-# wrote its own table loop.
+# wrote its own table loop. The sampled `bac --field 3 --samples 200 --seed 5`
+# and `p1 --field 3 --samples 40 --seed 2` entries and the `p1` entries on
+# `group:cyclic:12` and `group:sym:3xcyclic:2` (above the index-table bound)
+# were recorded at commit 012ba58, where each of those routes had a loop of
+# its own.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 EVALUATIONS = ("eval", "verify-tables")

@@ -1000,10 +1000,12 @@ def test_scan_cases_both_hold_and_fail():
     (square_zero_algebra(F2, 2), "T", False, 64),
     (matrix2_algebra(F2), "T", False, 16),
     (square_zero_algebra(F2, 2), "T^2", True, 64),
+    (matrix2_algebra(F3), "T", False, 81),
+    (group_algebra(symmetric_group(3), F2), "T^2", False, 64),
 ], ids=lambda v: getattr(v, "name", v))
 def test_p1_direct_route_matches_table_route(monkeypatch, algebra, g, holds, pairs):
-    # Both algebras have 16 elements: TABLE_LIMIT = 8 sends p1 to the direct
-    # route, which counts every pair and keeps the first witness.
+    # Every algebra has 16 to 81 elements: TABLE_LIMIT = 8 sends p1 to the
+    # direct route, which counts every pair and keeps the first witness.
     g = UniPoly.parse(g, algebra.field)
     table_route = asdict(p1_check(algebra, g))
     monkeypatch.setattr(grpalg_mod, "TABLE_LIMIT", 8)

@@ -8,8 +8,9 @@ tests/golden_cli.json.  CI runs it with the ``lpifc`` script that pip
 installed, from outside the checkout and with no PYTHONPATH; the test suite
 runs it with ``python -m lpifc.cli``.  The ``eval`` case takes a block
 power by Cayley-Hamilton, the ``expand`` and ``in-l`` cases read sums of
-words through the power-series expansion and the square-zero parser, and
-the last three cases run the M2, group-algebra and product-group builders.
+words through the power-series expansion and the square-zero parser, the
+``p1`` and last two ``grpalg`` cases run the M2, group-algebra and
+product-group builders, and the ``bac`` case keeps sampled tuples.
 Prints each mismatch and exits 1 if there is any.
 """
 
@@ -32,6 +33,8 @@ CASES = (
     ["p1", "--algebra", "m2", "--field", "2", "--g", "T"],
     ["grpalg", "--group", "sym:3", "--field", "3", "--predicates"],
     ["grpalg", "--group", "cyclic:2xsym:3", "--field", "2", "--json"],
+    ["bac", "--algebra", "sqzero2", "--field", "3", "--g", "T^2", "--mode", "sampled",
+     "--samples", "200", "--seed", "5"],
 )
 
 
