@@ -26,7 +26,7 @@ from . import fcrep, grpalg, search
 from .errors import InternalError, InvalidParameter, StillInL, UsageError
 from .exactalg import Field, UniPoly, render_scalar_mat, scalar_mat_is_zero
 from .laurent import max_cumulus, obstruction_matrix, parse_laurent
-from .parsing import parse_int
+from .parsing import is_digits, parse_int
 from .words import parse_word, word_invariants
 
 NOT_LPI = "NOT an LPI of U(F_C) (certificate attached)"
@@ -332,6 +332,19 @@ def cmd_standard_poly(args) -> Output:
 ALGEBRA_SPEC = "m2 | sqzero1 | sqzero2 | group:SPEC | group-file:PATH | file:PATH"
 
 
+def integer(text: str) -> int:
+    """The type of the integer options: ASCII digits after an optional ``-``.
+    argparse names it in its "invalid integer value" error."""
+    return parse_int(text)
+
+
+def natural(text: str) -> int:
+    """The type of ``--seed``: ASCII digits only."""
+    if not is_digits(text):
+        raise argparse.ArgumentTypeError(f"seeds are non-negative integers, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpifc", allow_abbrev=False,
@@ -347,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--timings", action="store_true", help="include wall-clock durations in JSON")
         if field:
-            p.add_argument("--field", type=int, default=0, metavar="Q",
+            p.add_argument("--field", type=integer, default=0, metavar="Q",
                            help="coefficient field: 0 for the rationals, a prime p for F_p")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=natural, default=0)
         if units:
             p.add_argument("--units", choices=("primary", "alternate", "swapped"),
                            default="primary")
@@ -363,24 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("extract-g", cmd_extract_g, "extract the witness polynomial from a falsified input",
                 expr=True, units=True)
-    p.add_argument("--conj-bound", type=int, default=3)
+    p.add_argument("--conj-bound", type=integer, default=3)
 
     p = command("thekey", cmd_thekey, "solve the conjugation membership system")
-    p.add_argument("--degree-bound", type=int, default=4)
+    p.add_argument("--degree-bound", type=integer, default=4)
 
     p = command("expand", cmd_expand, "truncated power-series expansion", expr=True)
-    p.add_argument("--trunc", type=int, default=None, help="total-degree truncation bound")
+    p.add_argument("--trunc", type=integer, default=None, help="total-degree truncation bound")
 
     p = command("verify-tables", cmd_verify_tables, "leading-term table campaign")
-    p.add_argument("--cmax", type=int, default=3)
+    p.add_argument("--cmax", type=integer, default=3)
 
     p = command("support3", cmd_support3, "three-term-support falsification campaign", seed=True)
-    p.add_argument("--cmax", type=int, default=2)
-    p.add_argument("--coeff-samples", type=int, default=5)
+    p.add_argument("--cmax", type=integer, default=2)
+    p.add_argument("--coeff-samples", type=integer, default=5)
 
     p = command("cprime-bound", cmd_cprime_bound, "alternate-pair degree bound campaign", seed=True)
-    p.add_argument("--cmax", type=int, default=3)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--cmax", type=integer, default=3)
+    p.add_argument("--samples", type=integer, default=50)
 
     p = command("grpalg", cmd_grpalg, "finite-algebra tools: info, falsify, predicates", seed=True)
     # --group S, --group-file P and --algebra-file P spell --algebra group:S,
@@ -393,9 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="GROUP_FILE", help="permutation-generator group file")
     spec.add_argument("--algebra-file", dest="algebra", type="file:".__add__,
                       metavar="ALGEBRA_FILE", help="structure-constant file")
-    p.add_argument("--lpi", help="Laurent polynomial to falsify on the unit group")
-    p.add_argument("--predicates", action="store_true", help="idempotent/normalizer predicates")
-    p.add_argument("--trials", type=int, default=200)
+    task = p.add_mutually_exclusive_group()
+    task.add_argument("--lpi", help="Laurent polynomial to falsify on the unit group")
+    task.add_argument("--predicates", action="store_true", help="idempotent/normalizer predicates")
+    p.add_argument("--trials", type=integer, default=200)
 
     for name, func, help in (("p1", cmd_p1, "square-zero vanishing check g(ab) = 0"),
                              ("bac", cmd_bac, "zero-product chain check h(bacr) = 0 with h = T*g")):
@@ -403,19 +417,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True, help=ALGEBRA_SPEC)
         p.add_argument("--g", required=True, help="one-variable polynomial, e.g. 'T^2'")
         p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--samples", type=integer, default=2000)
 
     p = command("finitecondi", cmd_finitecondi,
                 "matrix witness r, a = r*e12, b = e21 with g(ab) != 0", field=False)
-    p.add_argument("--q", type=int, required=True, help="prime field size")
+    p.add_argument("--q", type=integer, required=True, help="prime field size")
     p.add_argument("--g", required=True)
 
     p = command("standard-poly", cmd_standard_poly, "standard polynomial S_k evaluation and sweeps",
                 seed=True)
     p.add_argument("--algebra", required=True, help=ALGEBRA_SPEC)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=integer, default=4)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=integer, default=100000)
     p.add_argument("--elements", help="semicolon-separated coefficient vectors to evaluate at")
 
     return parser

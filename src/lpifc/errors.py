@@ -89,6 +89,6 @@ class AllZero(UsageError):
 
 def check_count(name: str, value: int) -> None:
     """A sample or trial count must not be negative (zero is allowed and
-    examines nothing)."""
+    examines nothing); neither may a numpy seed."""
     if value < 0:
         raise InvalidParameter(f"{name} must be non-negative, got {value}")

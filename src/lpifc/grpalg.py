@@ -787,6 +787,7 @@ def standard_poly_sampled(algebra: FinAlgebra, k: int, samples: int, seed: int =
     samples."""
     _check_arity(k)
     check_count("samples", samples)
+    check_count("seed", seed)
     if samples > TUPLE_LIMIT:
         raise InvalidParameter(f"{samples} samples exceed the bound {TUPLE_LIMIT}")
     table = ElementTable(algebra)
@@ -871,30 +872,51 @@ def _check_poly(algebra: FinAlgebra, g: UniPoly, mode: str) -> None:
         raise InvalidParameter(f"unknown mode {mode!r}")
 
 
+def _exact_scan(tuples: Iterable[tuple[AlgebraElem, ...]], value, names: str,
+                stop: bool) -> CheckResult:
+    """Evaluate ``value(*t)`` on each tuple of elements in order, with exact
+    arithmetic.  The first tuple with a nonzero value is the witness: its
+    elements under ``names``, one letter per position, then the value.  With
+    ``stop`` (a sampled check) the scan ends there; without it the scan still
+    evaluates and counts every tuple, as :func:`_scan` does."""
+    checked, witness = 0, None
+    for t in tuples:
+        checked += 1
+        val = value(*t)
+        if witness is None and not val.is_zero:
+            witness = {**{name: x.render() for name, x in zip(names, t)}, "value": val.render()}
+            if stop:
+                break
+    return CheckResult(holds=witness is None if checked else None, checked=checked, witness=witness)
+
+
 def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
              samples: int = 2000, seed: int = 0) -> CheckResult:
     """Does g(ab) = 0 for all a, b with a^2 = b^2 = 0?
 
-    Exhaustive mode scans every square-zero pair; sampled mode draws random
-    elements and keeps the square-zero ones, and is inconclusive when it
-    keeps none.
+    Exhaustive mode scans every square-zero pair, on an element table when
+    p^dim fits TABLE_LIMIT and else over the enumerated elements; sampled
+    mode draws random elements, keeps the square-zero ones, stops at the
+    first failing pair, and is inconclusive when it keeps none.
     """
     _check_poly(algebra, g, mode)
     check_count("samples", samples)
-    if mode == "exhaustive":
+    if mode == "sampled":
+        rng = random.Random(seed)
+        elements = (algebra.random_element(rng) for _ in range(samples))
+    else:
         try:
-            table = ElementTable(algebra)
+            return _p1_on_table(ElementTable(algebra), g)
         except TooLargeForExhaustive:
-            return _p1_exhaustive_direct(algebra, g)
-        return _p1_on_table(table, g)
-    rng = random.Random(seed)
-    square_zero: list[AlgebraElem] = []
-    for _ in range(samples):
-        a = algebra.random_element(rng)
-        if (a * a).is_zero:
-            square_zero.append(a)
-    result = _p1_on_pairs(square_zero, g)
-    return result if result.checked else CheckResult(holds=None, checked=0)
+            _element_count(algebra, tables=False)
+        elements = (AlgebraElem._new(algebra, v) for v in
+                    itertools.product(range(algebra.field.order), repeat=algebra.dim))
+    square_zero = [a for a in elements if (a * a).is_zero]
+    if mode == "exhaustive" and len(square_zero) ** 2 > PAIR_LIMIT:
+        raise TooLargeForExhaustive(f"{len(square_zero)}^2 square-zero pairs exceed the pair "
+                                    f"bound 2^{PAIR_LIMIT.bit_length() - 1}")
+    return _exact_scan(itertools.product(square_zero, repeat=2),
+                       lambda a, b: poly_at(g, a * b), "ab", stop=mode == "sampled")
 
 
 def _p1_on_table(table: ElementTable, g: UniPoly) -> CheckResult:
@@ -904,40 +926,6 @@ def _p1_on_table(table: ElementTable, g: UniPoly) -> CheckResult:
     return _scan(table, (sq0.size,) * 2, lambda ij: gvals[table.mul[sq0[ij[0]], sq0[ij[1]]]],
                  lambda ij: {"a": table.elem(int(sq0[ij[0]])).render(),
                              "b": table.elem(int(sq0[ij[1]])).render()})
-
-
-def _p1_on_pairs(square_zero: Sequence[AlgebraElem], g: UniPoly,
-                 every_pair: bool = False) -> CheckResult:
-    """Test g(ab) = 0 on the pairs of the given square-zero elements in
-    order.  The first failing pair is the witness; the scan stops there
-    unless ``every_pair``, in which case it counts every pair, as the table
-    scan does."""
-    checked, witness = 0, None
-    for a, b in itertools.product(square_zero, repeat=2):
-        checked += 1
-        val = poly_at(g, a * b)
-        if witness is None and not val.is_zero:
-            witness = {"a": a.render(), "b": b.render(), "value": val.render()}
-            if not every_pair:
-                break
-    return CheckResult(holds=witness is None, checked=checked, witness=witness)
-
-
-def _p1_exhaustive_direct(algebra: FinAlgebra, g: UniPoly) -> CheckResult:
-    """Exhaustive scan without index tables: enumerate all elements, filter
-    the square-zero ones, test every pair with exact arithmetic."""
-    _element_count(algebra, tables=False)
-    square_zero = [
-        AlgebraElem._new(algebra, v)
-        for v in itertools.product(range(algebra.field.order), repeat=algebra.dim)
-        if not any(algebra._mul_raw(v, v))
-    ]
-    if len(square_zero) ** 2 > PAIR_LIMIT:
-        raise TooLargeForExhaustive(
-            f"{len(square_zero)}^2 square-zero pairs exceed the pair bound "
-            f"2^{PAIR_LIMIT.bit_length() - 1}"
-        )
-    return _p1_on_pairs(square_zero, g, every_pair=True)
 
 
 def _bac_on_table(table: ElementTable, h: UniPoly) -> CheckResult:
@@ -961,6 +949,18 @@ def _bac_on_table(table: ElementTable, h: UniPoly) -> CheckResult:
                                 "r": table.elem(where[2]).render()})
 
 
+def _bac_draws(algebra: FinAlgebra, samples: int, seed: int):
+    """Seeded tuples (a, b, c, r) with a^2 = 0 and bc = 0: each of ``samples``
+    draws takes a, then b and c when a^2 = 0, then r when bc = 0."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        a = algebra.random_element(rng)
+        if (a * a).is_zero:
+            b, c = algebra.random_element(rng), algebra.random_element(rng)
+            if (b * c).is_zero:
+                yield a, b, c, algebra.random_element(rng)
+
+
 def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
               samples: int = 2000, seed: int = 0) -> CheckResult:
     """With h = T*g(T): does h(bacr) = 0 for all a^2 = 0, bc = 0, and all r?
@@ -972,42 +972,21 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
     """
     _check_poly(algebra, g, mode)
     check_count("samples", samples)
-    if mode == "exhaustive":
-        table = ElementTable(algebra)
-        p1 = _p1_on_table(table, g)
-    else:
-        p1 = p1_check(algebra, g, mode=mode, samples=samples, seed=seed)
-        if p1.holds is None:
-            return CheckResult(holds=None, checked=0)
+    table = ElementTable(algebra) if mode == "exhaustive" else None
+    p1 = (p1_check(algebra, g, mode=mode, samples=samples, seed=seed) if table is None
+          else _p1_on_table(table, g))
+    if p1.holds is None:
+        return CheckResult(holds=None, checked=0)
     if not p1.holds:
         raise InvalidParameter(
             "precondition violated: the algebra fails the square-zero vanishing "
             f"property for g (witness {p1.witness})"
         )
     h = UniPoly.T(algebra.field) * g
-    if mode == "exhaustive":
+    if table is not None:
         return _bac_on_table(table, h)
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(samples):
-        a = algebra.random_element(rng)
-        if not (a * a).is_zero:
-            continue
-        b = algebra.random_element(rng)
-        c = algebra.random_element(rng)
-        if not (b * c).is_zero:
-            continue
-        r = algebra.random_element(rng)
-        checked += 1
-        val = poly_at(h, b * a * c * r)
-        if not val.is_zero:
-            return CheckResult(
-                holds=False,
-                checked=checked,
-                witness={"a": a.render(), "b": b.render(), "c": c.render(),
-                         "r": r.render(), "value": val.render()},
-            )
-    return CheckResult(holds=True if checked else None, checked=checked)
+    return _exact_scan(_bac_draws(algebra, samples, seed),
+                       lambda a, b, c, r: poly_at(h, b * a * c * r), "abcr", stop=True)
 
 
 # -- the matrix-algebra witness -------------------------------------------------

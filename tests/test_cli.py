@@ -385,6 +385,50 @@ def test_numbers_take_ascii_digits_only(capsys, tmp_path, number, bad):
             assert err.startswith("error: ") and where in err and err.count("\n") == 1, argv
 
 
+# A value that got past argparse would run: F4 is not a prime field, so the
+# --cmax case then ends at once, with an error that is not a usage line.
+INTEGER_OPTIONS = {
+    "--field": ["obstruct", "X"],
+    "--cmax": ["verify-tables", "--field", "4"],
+    "--samples": ["p1", "--algebra", "sqzero1", "--field", "2", "--g", "T", "--mode", "sampled"],
+}
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+@pytest.mark.parametrize("number", ["٣", "١", "1_0", " 3"])
+def test_integer_options_take_ascii_digits_only(capsys, option, number):
+    # int takes all four; the integer options read them as parse_int does
+    code, out, err = run(capsys, *INTEGER_OPTIONS[option], option, number)
+    assert (code, out) == (2, "")
+    assert "usage: " in err and f"{option}: invalid integer value: {number!r}" in err
+
+
+SEEDED = {
+    "support3": [],
+    "cprime-bound": [],
+    "grpalg": ["--group", "cyclic:2", "--field", "2", "--lpi", "X - 1"],
+    "p1": ["--algebra", "m2", "--field", "2", "--g", "T", "--mode", "sampled", "--samples", "5"],
+    "bac": ["--algebra", "m2", "--field", "2", "--g", "T", "--mode", "sampled", "--samples", "5"],
+    "standard-poly": ["--algebra", "m2", "--field", "2", "--k", "2", "--mode", "sampled",
+                      "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_seeds_are_non_negative(capsys, command):
+    # random.Random(-7) draws as seed 7, and numpy rejects a negative seed
+    code, out, err = run(capsys, command, *SEEDED[command], "--seed", "-7")
+    assert (code, out) == (2, "")
+    assert "usage: " in err and "--seed: seeds are non-negative integers, got '-7'" in err
+
+
+def test_grpalg_lpi_and_predicates_exclude_each_other(capsys):
+    code, out, err = run(capsys, "grpalg", "--group", "sym:3", "--field", "2",
+                         "--lpi", "X*Y - Y*X", "--predicates", "--trials", "5")
+    assert (code, out) == (2, "")
+    assert "usage: " in err and "--predicates: not allowed with argument --lpi" in err
+
+
 def test_invalid_field_rejected(capsys):
     code, _, err = run(capsys, "obstruct", "X", "--field", "4")
     assert code == 2

@@ -13,7 +13,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpifc.cli import main
@@ -54,7 +54,7 @@ def _pos(values):
 
 UNITS = _opt("--units", ("primary", "alternate", "swapped"))
 FIELD = _opt("--field", FIELDS)
-SEED = _opt("--seed", ("0", "7"))
+SEED = _opt("--seed", ("0", "7", "-1"))
 MODE = _opt("--mode", ("exhaustive", "sampled"))
 # No algebra flag, one, or two of them.
 GRPALG_ALGEBRA = st.lists(st.one_of(
@@ -104,5 +104,9 @@ def check_contract(argv: list[str]) -> None:
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(ARGV)
+# A negative seed reaches numpy's seeded draw only in a sampled S_k that
+# passes every other check, which the grammar above rarely draws.
+@example(["standard-poly", "--algebra", "m2", "--field", "2", "--k", "2", "--mode", "sampled",
+          "--samples", "5", "--seed", "-1"])
 def test_cli_contract(argv):
     check_contract(argv)

@@ -862,6 +862,8 @@ def test_negative_counts_are_rejected():
             check(A, g, mode="sampled", samples=-1)
     with pytest.raises(InvalidParameter, match="got -2"):
         standard_poly_sampled(A, 2, samples=-2)
+    with pytest.raises(InvalidParameter, match="seed must be non-negative, got -1"):
+        standard_poly_sampled(A, 2, samples=5, seed=-1)  # numpy's default_rng needs >= 0
     with pytest.raises(InvalidParameter, match="trials must be non-negative, got -3"):
         falsify_lpi(parse_laurent("X - 1", F2), A, trials=-3)
     with pytest.raises(InvalidParameter, match="k >= 1"):
