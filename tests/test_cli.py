@@ -52,7 +52,10 @@ from lpifc.exactalg import Field, Mat2Poly
 # and `p1 --field 3 --samples 40 --seed 2` entries and the `p1` entries on
 # `group:cyclic:12` and `group:sym:3xcyclic:2` (above the index-table bound)
 # were recorded at commit 012ba58, where each of those routes had a loop of
-# its own.
+# its own. The `p1` entries on `group:cyclic:2xcyclic:2xcyclic:2`, whose
+# table scan of 16,384 pairs (four chunks) fails in its first chunk, were
+# recorded at commit 2192625, where a failing scan still evaluated every
+# tuple after its witness.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 EVALUATIONS = ("eval", "verify-tables")

@@ -1094,6 +1094,113 @@ def test_bac_scan_witness_matches_per_pair_loop():
     assert result.checked == zero_pairs * table.square_zero_indices().size * table.n
 
 
+# -- the numpy scan against a loop over every tuple --------------------------------
+
+
+def _every_tuple(table, shape, value, witness):
+    """(holds, checked, witness, position of the witness) by a plain loop
+    that evaluates every index tuple of ``shape`` in row-major order;
+    ``value(t)`` is an element index and the first nonzero one is the
+    witness."""
+    checked, first = 0, None
+    for t in itertools.product(*map(range, shape)):
+        v = value(t)
+        if first is None and v != table.zero_idx:
+            first = t, v, checked
+        checked += 1
+    if first is None:
+        return True, checked, None, None
+    where, v, at = first
+    return False, checked, {**witness(where), "value": table.elem(v).render()}, at
+
+
+def _loop_standard_poly(table, k):
+    mul, add, neg = table.mul.tolist(), table.add.tolist(), table.neg.tolist()
+    odd = {perm: sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+           for perm in itertools.permutations(range(k))}
+
+    def value(t):
+        acc = table.zero_idx
+        for perm, sign in odd.items():
+            prod = t[perm[0]]
+            for i in perm[1:]:
+                prod = mul[prod][t[i]]
+            acc = add[acc][neg[prod] if sign else prod]
+        return acc
+
+    return _every_tuple(table, (table.n,) * k, value, lambda t: {
+        "elements": [table.elem(i).render() for i in t]})
+
+
+def _loop_p1(table, g):
+    sq0, mul = table.square_zero_indices().tolist(), table.mul.tolist()
+    gvals = table.poly_values(g).tolist()
+    return _every_tuple(table, (len(sq0),) * 2, lambda t: gvals[mul[sq0[t[0]]][sq0[t[1]]]],
+                        lambda t: {"a": table.elem(sq0[t[0]]).render(),
+                                   "b": table.elem(sq0[t[1]]).render()})
+
+
+def _loop_bac(table, h):
+    sq0, mul = table.square_zero_indices().tolist(), table.mul.tolist()
+    hvals = table.poly_values(h).tolist()
+    pairs = [(b, c) for b in range(table.n) for c in range(table.n)
+             if mul[b][c] == table.zero_idx]
+
+    def value(t):
+        b, c = pairs[t[0]]
+        return hvals[mul[mul[mul[b][sq0[t[1]]]][c]][t[2]]]
+
+    return _every_tuple(table, (len(pairs), len(sq0), table.n), value, lambda t: {
+        "a": table.elem(sq0[t[1]]).render(), "b": table.elem(pairs[t[0]][0]).render(),
+        "c": table.elem(pairs[t[0]][1]).render(), "r": table.elem(t[2]).render()})
+
+
+LOOP_CASES = [
+    # (algebra, check, k or the polynomial); each check holds once and fails
+    # once, with its witness past the first chunk of 7 tuples.
+    ("M2(F2)", "S_k", 2),
+    ("M2(F2)", "S_k", 3),
+    ("sqzero1/F3", "S_k", 2),
+    ("M2(F3)", "p1", "T^2"),
+    ("sqzero2/F3", "p1", "T^2"),
+    # M2(F2) fails p1 for g = T, so bac_check refuses it; its chain scan
+    # still runs on its own.
+    ("M2(F2)", "bac", "T^2"),
+    ("sqzero1/F3", "bac", "T"),
+]
+
+
+def _loop_result(name, check, arg):
+    table = ElementTable(SCAN_ALGEBRAS[name]())
+    if check == "S_k":
+        return table, _loop_standard_poly(table, arg)
+    poly = UniPoly.parse(arg, table.algebra.field)
+    return table, (_loop_p1 if check == "p1" else _loop_bac)(table, poly)
+
+
+@pytest.mark.parametrize("name, check, arg", LOOP_CASES,
+                         ids=[" ".join(map(str, case)) for case in LOOP_CASES])
+def test_scan_matches_a_loop_over_every_tuple(monkeypatch, name, check, arg):
+    table, expected = _loop_result(name, check, arg)
+    monkeypatch.setattr(grpalg_mod, "SCAN_CHUNK", 7)
+    if check == "S_k":
+        result = grpalg_mod._standard_poly_scan(table, arg, (table.n,) * arg, lambda grid: grid)
+    else:
+        scan = grpalg_mod._p1_on_table if check == "p1" else grpalg_mod._bac_on_table
+        result = scan(table, UniPoly.parse(arg, table.algebra.field))
+    assert (result.holds, result.checked, result.witness) == expected[:3]
+
+
+def test_loop_cases_hold_and_fail_past_the_first_chunk():
+    outcomes = {}
+    for name, check, arg in LOOP_CASES:
+        holds, _, _, at = _loop_result(name, check, arg)[1]
+        outcomes[check, holds] = at
+    assert set(outcomes) == {(check, holds) for check in ("S_k", "p1", "bac")
+                             for holds in (True, False)}
+    assert all(at >= 7 for (_, holds), at in outcomes.items() if not holds)
+
+
 def test_exhaustive_standard_poly_allocates_no_tuple_grid():
     algebra = group_algebra(symmetric_group(3), F2)
     standard_poly_exhaustive(algebra, 3)  # first call: imports and caches
