@@ -806,10 +806,11 @@ SCAN_CHUNK = 4096
 
 
 def _scan(table: ElementTable, shape: tuple[int, ...], evaluate, witness) -> CheckResult:
-    """Evaluate every index tuple of ``shape`` in row-major order, at most
+    """Evaluate the index tuples of ``shape`` in row-major order, at most
     SCAN_CHUNK tuples per ``evaluate`` call (an int32 grid (len(shape), m) to
-    m element indices).  The first tuple with a nonzero value is the witness,
-    ``witness(tuple)`` plus the value; the scan still counts every tuple."""
+    m element indices), up to the first chunk with a nonzero value.  Its
+    first such tuple is the witness, ``witness(tuple)`` plus the value.
+    ``checked`` is the size of the domain, prod(shape)."""
     cut = len(shape)  # the axes from cut on fit in one chunk
     while cut > 1 and math.prod(shape[cut - 1:]) <= SCAN_CHUNK:
         cut -= 1
@@ -817,22 +818,18 @@ def _scan(table: ElementTable, shape: tuple[int, ...], evaluate, witness) -> Che
     per = max(SCAN_CHUNK // tail, 1)  # leading index tuples per chunk
     block = np.empty((len(shape), per, tail), dtype=np.int32)
     block[cut:] = np.indices(shape[cut:], dtype=np.int32).reshape(-1, 1, tail)
-    heads = math.prod(shape[:cut])
-    checked, first = 0, None
+    heads, checked = math.prod(shape[:cut]), math.prod(shape)
     for start in range(0, heads, per):
         m = min(per, heads - start)
         lead = np.unravel_index(np.arange(start, start + m), shape[:cut])
         block[:cut, :m] = np.stack(lead)[:, :, None]
         grid = block[:, :m].reshape(len(shape), -1)
         values = evaluate(grid)
-        checked += values.size
-        if first is None and (bad := np.flatnonzero(values != table.zero_idx)).size:
-            first = tuple(int(i) for i in grid[:, bad[0]]), int(values[bad[0]])
-    if first is None:
-        return CheckResult(holds=True if checked else None, checked=checked)
-    where, value = first
-    return CheckResult(holds=False, checked=checked,
-                       witness={**witness(where), "value": table.elem(value).render()})
+        if (bad := np.flatnonzero(values != table.zero_idx)).size:
+            where, value = tuple(int(i) for i in grid[:, bad[0]]), int(values[bad[0]])
+            return CheckResult(holds=False, checked=checked,
+                               witness={**witness(where), "value": table.elem(value).render()})
+    return CheckResult(holds=True if checked else None, checked=checked)
 
 
 def _standard_poly_scan(table: ElementTable, k: int, shape: tuple[int, ...], pick) -> CheckResult:
@@ -872,32 +869,30 @@ def _check_poly(algebra: FinAlgebra, g: UniPoly, mode: str) -> None:
         raise InvalidParameter(f"unknown mode {mode!r}")
 
 
-def _exact_scan(tuples: Iterable[tuple[AlgebraElem, ...]], value, names: str,
-                stop: bool) -> CheckResult:
+def _exact_scan(tuples: Iterable[tuple[AlgebraElem, ...]], value, names: str) -> CheckResult:
     """Evaluate ``value(*t)`` on each tuple of elements in order, with exact
-    arithmetic.  The first tuple with a nonzero value is the witness: its
-    elements under ``names``, one letter per position, then the value.  With
-    ``stop`` (a sampled check) the scan ends there; without it the scan still
-    evaluates and counts every tuple, as :func:`_scan` does."""
-    checked, witness = 0, None
+    arithmetic, up to the first tuple with a nonzero value.  That tuple is
+    the witness: its elements under ``names``, one letter per position, then
+    the value.  ``checked`` counts the tuples evaluated."""
+    checked = 0
     for t in tuples:
         checked += 1
         val = value(*t)
-        if witness is None and not val.is_zero:
-            witness = {**{name: x.render() for name, x in zip(names, t)}, "value": val.render()}
-            if stop:
-                break
-    return CheckResult(holds=witness is None if checked else None, checked=checked, witness=witness)
+        if not val.is_zero:
+            return CheckResult(holds=False, checked=checked, witness={
+                **{name: x.render() for name, x in zip(names, t)}, "value": val.render()})
+    return CheckResult(holds=True if checked else None, checked=checked)
 
 
 def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
              samples: int = 2000, seed: int = 0) -> CheckResult:
     """Does g(ab) = 0 for all a, b with a^2 = b^2 = 0?
 
-    Exhaustive mode scans every square-zero pair, on an element table when
-    p^dim fits TABLE_LIMIT and else over the enumerated elements; sampled
-    mode draws random elements, keeps the square-zero ones, stops at the
-    first failing pair, and is inconclusive when it keeps none.
+    Exhaustive mode scans the square-zero pairs, on an element table when
+    p^dim fits TABLE_LIMIT and else over the enumerated elements, and counts
+    all of them as checked; sampled mode draws random elements, keeps the
+    square-zero ones and counts the pairs it evaluates.  Both stop at the
+    first failing pair; sampled mode is inconclusive when it keeps none.
     """
     _check_poly(algebra, g, mode)
     check_count("samples", samples)
@@ -915,8 +910,11 @@ def p1_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
     if mode == "exhaustive" and len(square_zero) ** 2 > PAIR_LIMIT:
         raise TooLargeForExhaustive(f"{len(square_zero)}^2 square-zero pairs exceed the pair "
                                     f"bound 2^{PAIR_LIMIT.bit_length() - 1}")
-    return _exact_scan(itertools.product(square_zero, repeat=2),
-                       lambda a, b: poly_at(g, a * b), "ab", stop=mode == "sampled")
+    result = _exact_scan(itertools.product(square_zero, repeat=2),
+                         lambda a, b: poly_at(g, a * b), "ab")
+    if mode == "exhaustive":
+        result.checked = len(square_zero) ** 2
+    return result
 
 
 def _p1_on_table(table: ElementTable, g: UniPoly) -> CheckResult:
@@ -986,7 +984,7 @@ def bac_check(algebra: FinAlgebra, g: UniPoly, mode: str = "exhaustive",
     if table is not None:
         return _bac_on_table(table, h)
     return _exact_scan(_bac_draws(algebra, samples, seed),
-                       lambda a, b, c, r: poly_at(h, b * a * c * r), "abcr", stop=True)
+                       lambda a, b, c, r: poly_at(h, b * a * c * r), "abcr")
 
 
 # -- the matrix-algebra witness -------------------------------------------------

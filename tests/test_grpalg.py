@@ -1007,7 +1007,8 @@ def test_scan_cases_both_hold_and_fail():
 ], ids=lambda v: getattr(v, "name", v))
 def test_p1_direct_route_matches_table_route(monkeypatch, algebra, g, holds, pairs):
     # Every algebra has 16 to 81 elements: TABLE_LIMIT = 8 sends p1 to the
-    # direct route, which counts every pair and keeps the first witness.
+    # direct route, which stops at the first witness and reports every pair
+    # as checked.
     g = UniPoly.parse(g, algebra.field)
     table_route = asdict(p1_check(algebra, g))
     monkeypatch.setattr(grpalg_mod, "TABLE_LIMIT", 8)
@@ -1082,7 +1083,8 @@ def test_bac_scan_matches_per_pair_loop(monkeypatch, tmp_path, name, g):
 
 def test_bac_scan_witness_matches_per_pair_loop():
     # M2(F2) fails p1 for g = T, so bac_check refuses it; the scan itself
-    # finds a witness, the same as the loop's, after counting every tuple.
+    # finds a witness, the same as the loop's, and reports its whole domain
+    # as checked.
     table = ElementTable(matrix2_algebra(F2))
     h = UniPoly.parse("T^2", F2)
     result = grpalg_mod._bac_on_table(table, h)
@@ -1199,6 +1201,50 @@ def test_loop_cases_hold_and_fail_past_the_first_chunk():
     assert set(outcomes) == {(check, holds) for check in ("S_k", "p1", "bac")
                              for holds in (True, False)}
     assert all(at >= 7 for (_, holds), at in outcomes.items() if not holds)
+
+
+@pytest.mark.parametrize("name, check, arg", [case for case in LOOP_CASES
+                                               if not _loop_result(*case)[1][0]],
+                         ids=lambda v: str(v))
+def test_failing_scan_stops_at_the_chunk_of_its_witness(monkeypatch, name, check, arg):
+    table, (_, domain, witness, at) = _loop_result(name, check, arg)
+    chunks, scan = [], grpalg_mod._scan
+
+    def counting_scan(table, shape, evaluate, witness):
+        def counted(grid):
+            chunks.append(grid.shape[1])
+            return evaluate(grid)
+        return scan(table, shape, counted, witness)
+
+    monkeypatch.setattr(grpalg_mod, "SCAN_CHUNK", 7)
+    monkeypatch.setattr(grpalg_mod, "_scan", counting_scan)
+    monkeypatch.setattr(grpalg_mod, "ElementTable", lambda _: table)
+    algebra = table.algebra
+    if check == "S_k":
+        result = standard_poly_exhaustive(algebra, arg)
+    elif check == "p1":
+        result = p1_check(algebra, UniPoly.parse(arg, algebra.field))
+    else:
+        result = grpalg_mod._bac_on_table(table, UniPoly.parse(arg, algebra.field))
+    # Every axis of these scans is longer than 7, so each chunk holds 7 tuples.
+    assert chunks == [7] * (at // 7 + 1)
+    assert (result.holds, result.checked, result.witness) == (False, domain, witness)
+
+
+def test_exhaustive_p1_without_tables_stops_at_its_witness(monkeypatch):
+    # F2[S3 x C2] has 4,096 elements, past TABLE_LIMIT, and 224 square-zero
+    # ones: the exact route evaluates its pairs in order up to the witness.
+    algebra = group_algebra(build_group("sym:3xcyclic:2"), F2)
+    g = UniPoly.parse("T", F2)
+    calls, poly = [], grpalg_mod.poly_at
+    monkeypatch.setattr(grpalg_mod, "poly_at", lambda *a: calls.append(a) or poly(*a))
+    result = p1_check(algebra, g)
+    elements = (algebra.elem(v) for v in itertools.product(range(2), repeat=algebra.dim))
+    square_zero = [a.render() for a in elements if (a * a).is_zero]
+    position = (square_zero.index(result.witness["a"]) * len(square_zero)
+                + square_zero.index(result.witness["b"]) + 1)
+    assert (result.holds, result.checked) == (False, 224**2)
+    assert len(calls) == position < 224**2
 
 
 def test_exhaustive_standard_poly_allocates_no_tuple_grid():
