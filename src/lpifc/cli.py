@@ -46,6 +46,17 @@ def _falsifier(record: dict, lines: list[str], nonzero: bool) -> Output:
     return record, lines + [f"verdict: {verdict}"], 1 if nonzero else 0
 
 
+def _options(args, reads: bool, where: str, **defaults) -> dict:
+    """The options named in ``defaults``, each its default when not given
+    (the parser leaves them None).  A run that ``reads`` none of them
+    rejects any that is given, naming it."""
+    given = [name for name in defaults if getattr(args, name) is not None]
+    if given and not reads:
+        raise InvalidParameter(f"{where} does not read --{given[0]}")
+    return {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in defaults.items()}
+
+
 def _check(record: dict, headline: str, result: grpalg.CheckResult) -> Output:
     """A finite-algebra check: exit 1 with its witness printed when it
     fails."""
@@ -218,11 +229,12 @@ def cmd_grpalg(args) -> Output:
     field = Field(args.field)
     if args.algebra is None:
         raise InvalidParameter("grpalg needs --group, --group-file, or --algebra-file")
+    options = _options(args, bool(args.lpi), "grpalg without --lpi", trials=200, seed=0)
     algebra = _algebra_from(args.algebra, field)
 
     if args.lpi:
         f = parse_laurent(args.lpi, field)
-        result = grpalg.falsify_lpi(f, algebra, trials=args.trials, seed=args.seed)
+        result = grpalg.falsify_lpi(f, algebra, **options)
         if result.found:
             lines = [
                 f"counterexample on {algebra.name} at trial {result.trial}:",
@@ -258,10 +270,11 @@ def cmd_grpalg(args) -> Output:
 
 
 def cmd_p1(args) -> Output:
+    options = _options(args, args.mode == "sampled", "exhaustive p1", samples=2000, seed=0)
     field = Field(args.field)
     algebra = _algebra_from(args.algebra, field)
     g = UniPoly.parse(args.g, field)
-    result = grpalg.p1_check(algebra, g, mode=args.mode, samples=args.samples, seed=args.seed)
+    result = grpalg.p1_check(algebra, g, mode=args.mode, **options)
     return _check(
         {"algebra": algebra.name, "g": str(g), "mode": args.mode},
         f"square-zero vanishing of g = {g} on {algebra.name}: {HOLDS[result.holds]}",
@@ -270,10 +283,11 @@ def cmd_p1(args) -> Output:
 
 
 def cmd_bac(args) -> Output:
+    options = _options(args, args.mode == "sampled", "exhaustive bac", samples=2000, seed=0)
     field = Field(args.field)
     algebra = _algebra_from(args.algebra, field)
     g = UniPoly.parse(args.g, field)
-    result = grpalg.bac_check(algebra, g, mode=args.mode, samples=args.samples, seed=args.seed)
+    result = grpalg.bac_check(algebra, g, mode=args.mode, **options)
     return _check(
         {"algebra": algebra.name, "g": str(g), "h": str(UniPoly.T(field) * g), "mode": args.mode},
         f"zero-product chain h = T*g with g = {g} on {algebra.name}: {HOLDS[result.holds]}",
@@ -293,6 +307,10 @@ def cmd_finitecondi(args) -> Output:
 
 
 def cmd_standard_poly(args) -> Output:
+    mode = args.mode or "exhaustive"
+    if args.elements:
+        _options(args, False, "standard-poly --elements", mode=None, samples=None, seed=None)
+    options = _options(args, mode == "sampled", "exhaustive standard-poly", samples=100000, seed=0)
     field = Field(args.field)
     algebra = _algebra_from(args.algebra, field)
     if args.elements:
@@ -314,14 +332,14 @@ def cmd_standard_poly(args) -> Output:
             "zero": value.is_zero,
         }
         return record, [f"S_{args.k} = {value.render()}"], 0
-    if args.mode == "exhaustive":
+    if mode == "exhaustive":
         result = grpalg.standard_poly_exhaustive(algebra, k=args.k)
     else:
-        result = grpalg.standard_poly_sampled(algebra, k=args.k, samples=args.samples, seed=args.seed)
+        result = grpalg.standard_poly_sampled(algebra, k=args.k, **options)
     verdict = {True: "vanishes", False: "does not vanish", None: "inconclusive"}[result.holds]
     return _check(
-        {"algebra": algebra.name, "k": args.k, "mode": args.mode},
-        f"S_{args.k} on {algebra.name} ({args.mode}): {verdict} over {result.checked} tuples",
+        {"algebra": algebra.name, "k": args.k, "mode": mode},
+        f"S_{args.k} on {algebra.name} ({mode}): {verdict} over {result.checked} tuples",
         result,
     )
 
@@ -409,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     task = p.add_mutually_exclusive_group()
     task.add_argument("--lpi", help="Laurent polynomial to falsify on the unit group")
     task.add_argument("--predicates", action="store_true", help="idempotent/normalizer predicates")
-    p.add_argument("--trials", type=integer, default=200)
+    # Here and in p1, bac and standard-poly, the options that some runs do
+    # not read stay None unless given; the handler's _options call gives
+    # them their defaults or rejects them.
+    p.add_argument("--trials", type=integer)
+    p.set_defaults(seed=None)
 
     for name, func, help in (("p1", cmd_p1, "square-zero vanishing check g(ab) = 0"),
                              ("bac", cmd_bac, "zero-product chain check h(bacr) = 0 with h = T*g")):
@@ -417,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algebra", required=True, help=ALGEBRA_SPEC)
         p.add_argument("--g", required=True, help="one-variable polynomial, e.g. 'T^2'")
         p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-        p.add_argument("--samples", type=integer, default=2000)
+        p.add_argument("--samples", type=integer)
+        p.set_defaults(seed=None)
 
     p = command("finitecondi", cmd_finitecondi,
                 "matrix witness r, a = r*e12, b = e21 with g(ab) != 0", field=False)
@@ -428,9 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
                 seed=True)
     p.add_argument("--algebra", required=True, help=ALGEBRA_SPEC)
     p.add_argument("--k", type=integer, default=4)
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--samples", type=integer, default=100000)
+    p.add_argument("--mode", choices=("exhaustive", "sampled"))
+    p.add_argument("--samples", type=integer)
     p.add_argument("--elements", help="semicolon-separated coefficient vectors to evaluate at")
+    p.set_defaults(seed=None)
 
     return parser
 

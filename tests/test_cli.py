@@ -425,6 +425,34 @@ def test_seeds_are_non_negative(capsys, command):
     assert "usage: " in err and "--seed: seeds are non-negative integers, got '-7'" in err
 
 
+P1_M2 = ["--algebra", "m2", "--field", "2", "--g", "T"]
+S2_M2 = ["standard-poly", "--algebra", "m2", "--field", "2", "--k", "2"]
+UNREAD_OPTIONS = [
+    # (argv without the option, the run named in the error, the option)
+    *((["p1", *P1_M2, *mode], "exhaustive p1", option)
+      for mode in ([], ["--mode", "exhaustive"]) for option in ("--samples", "--seed")),
+    *((["bac", "--algebra", "sqzero2", "--field", "2", "--g", "T^2"], "exhaustive bac", option)
+      for option in ("--samples", "--seed")),
+    *(([*S2_M2, *mode], "exhaustive standard-poly", option)
+      for mode in ([], ["--mode", "exhaustive"]) for option in ("--samples", "--seed")),
+    *(([*S2_M2, "--elements", "1,0,0,0;0,1,0,0"], "standard-poly --elements", option)
+      for option in ("--mode", "--samples", "--seed")),
+    *((["grpalg", "--group", "sym:3", "--field", "2", *task], "grpalg without --lpi", option)
+      for task in ([], ["--predicates"]) for option in ("--trials", "--seed")),
+]
+
+
+@pytest.mark.parametrize("argv, run_name, option", UNREAD_OPTIONS,
+                         ids=[" ".join(argv + [option]) for argv, _, option in UNREAD_OPTIONS])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_options_a_run_does_not_read_are_usage_errors(capsys, argv, run_name, option, json_flag):
+    value = "sampled" if option == "--mode" else "3"
+    code, out, err = run(capsys, *argv, option, value, *json_flag)
+    assert (code, out, err) == (2, "", f"error: {run_name} does not read {option}\n")
+    # Without the option, the same argv runs.
+    assert run(capsys, *argv, *json_flag)[0] in (0, 1)
+
+
 def test_grpalg_lpi_and_predicates_exclude_each_other(capsys):
     code, out, err = run(capsys, "grpalg", "--group", "sym:3", "--field", "2",
                          "--lpi", "X*Y - Y*X", "--predicates", "--trials", "5")
