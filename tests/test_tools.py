@@ -1,8 +1,10 @@
 """The CI checks in tools/: the source lint and the golden-transcript replay,
-run on this tree and on broken inputs that they must reject; and the check
-that every def and class in the library has a caller outside the tests."""
+run on this tree and on broken inputs that they must reject; the benchmark
+margin report on synthetic records; and the check that every def and class
+in the library has a caller outside the tests."""
 
 import ast
+import json
 import os
 import re
 import shutil
@@ -18,6 +20,7 @@ import lpifc
 ROOT = Path(__file__).resolve().parents[1]
 LINT = str(ROOT / "tools" / "lint_src.py")
 REPLAY = str(ROOT / "tools" / "replay_goldens.py")
+MARGIN = str(ROOT / "tools" / "bench_margin.py")
 
 
 def run_python(*args, env=None):
@@ -75,6 +78,46 @@ def test_replay_goldens_rejects_a_wrong_command():
     assert run.returncode == 1
     assert "differs from its golden transcript" in run.stdout
     assert run_python(REPLAY).returncode == 2
+
+
+# -- the benchmark margin report -----------------------------------------------------
+
+
+def _record(workload, seed, passes, metrics, trace=0):
+    """A result record as perfbench/run.py writes it, reduced to the fields
+    the report reads."""
+    return {"workload": workload, "seed": seed, "trace": trace,
+            "passes": [{"wall_s": wall_s, "ref_ms": [2.8] * samples} for wall_s, samples in passes],
+            "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()}}
+
+
+def test_bench_margin_reports_each_record(tmp_path):
+    metrics = {"wall_s": 0.66123456, "query_p50_ms": 78.8, "query_p95_ms": 405.5,
+               "peak_rss_mb": 36.5, "setup_s": 0.3}
+    first, second = tmp_path / "algebra-seed3-trace0.json", tmp_path / "queries-seed12-trace0.json"
+    first.write_text(json.dumps(_record("algebra", 3, [(0.41, 3), (0.3912345, 2), (0.5, 4)], metrics)))
+    # A run whose passes all failed reports no metric.
+    second.write_text(json.dumps(_record("queries", 12, [], {})))
+    run = run_python(MARGIN, str(first), str(second))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [
+        "workload  seed  passes  min_ref_samples  fastest_raw_pass_s  wall_s    query_p50_ms"
+        "  query_p95_ms  peak_rss_mb  setup_s",
+        "algebra   3     3       2                0.3912              0.661235  78.8          405.5"
+        "         36.5         0.3",
+        "queries   12    0       -                -                   -         -             -"
+        "             -            -",
+    ]
+
+
+def test_bench_margin_rejects_a_traced_or_missing_record(tmp_path):
+    traced = tmp_path / "algebra-seed1-trace1.json"
+    traced.write_text(json.dumps(_record("algebra", 1, [], {}, trace=1)))
+    assert run_python(MARGIN).returncode == 2
+    for path in (traced, tmp_path / "missing.json"):
+        run = run_python(MARGIN, str(path))
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr.startswith(f"error: {path}: ")
 
 
 # -- dead code: a def or class that only tests call -------------------------------
