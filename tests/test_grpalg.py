@@ -1158,17 +1158,17 @@ def _loop_bac(table, h):
 
 
 LOOP_CASES = [
-    # (algebra, check, k or the polynomial); each check holds once and fails
-    # once, with its witness past the first chunk of 7 tuples.
-    ("M2(F2)", "S_k", 2),
-    ("M2(F2)", "S_k", 3),
-    ("sqzero1/F3", "S_k", 2),
-    ("M2(F3)", "p1", "T^2"),
-    ("sqzero2/F3", "p1", "T^2"),
+    # (algebra, check, k or the polynomial, holds); each check holds once and
+    # fails once, with its witness past the first chunk of 7 tuples.
+    ("M2(F2)", "S_k", 2, False),
+    ("M2(F2)", "S_k", 3, False),
+    ("sqzero1/F3", "S_k", 2, True),
+    ("M2(F3)", "p1", "T^2", False),
+    ("sqzero2/F3", "p1", "T^2", True),
     # M2(F2) fails p1 for g = T, so bac_check refuses it; its chain scan
     # still runs on its own.
-    ("M2(F2)", "bac", "T^2"),
-    ("sqzero1/F3", "bac", "T"),
+    ("M2(F2)", "bac", "T^2", False),
+    ("sqzero1/F3", "bac", "T", True),
 ]
 
 
@@ -1180,8 +1180,8 @@ def _loop_result(name, check, arg):
     return table, (_loop_p1 if check == "p1" else _loop_bac)(table, poly)
 
 
-@pytest.mark.parametrize("name, check, arg", LOOP_CASES,
-                         ids=[" ".join(map(str, case)) for case in LOOP_CASES])
+@pytest.mark.parametrize("name, check, arg", [case[:3] for case in LOOP_CASES],
+                         ids=[" ".join(map(str, case[:3])) for case in LOOP_CASES])
 def test_scan_matches_a_loop_over_every_tuple(monkeypatch, name, check, arg):
     table, expected = _loop_result(name, check, arg)
     monkeypatch.setattr(grpalg_mod, "SCAN_CHUNK", 7)
@@ -1194,18 +1194,19 @@ def test_scan_matches_a_loop_over_every_tuple(monkeypatch, name, check, arg):
 
 
 def test_loop_cases_hold_and_fail_past_the_first_chunk():
-    outcomes = {}
-    for name, check, arg in LOOP_CASES:
-        holds, _, _, at = _loop_result(name, check, arg)[1]
-        outcomes[check, holds] = at
-    assert set(outcomes) == {(check, holds) for check in ("S_k", "p1", "bac")
-                             for holds in (True, False)}
-    assert all(at >= 7 for (_, holds), at in outcomes.items() if not holds)
+    assert {(check, holds) for _, check, _, holds in LOOP_CASES} == {
+        (check, holds) for check in ("S_k", "p1", "bac") for holds in (True, False)}
+    for name, check, arg, holds in LOOP_CASES:
+        loop_holds, _, _, at = _loop_result(name, check, arg)[1]
+        assert loop_holds is holds
+        assert holds or at >= 7
 
 
-@pytest.mark.parametrize("name, check, arg", [case for case in LOOP_CASES
-                                               if not _loop_result(*case)[1][0]],
-                         ids=lambda v: str(v))
+FAILING_LOOP_CASES = [case[:3] for case in LOOP_CASES if not case[3]]
+
+
+@pytest.mark.parametrize("name, check, arg", FAILING_LOOP_CASES,
+                         ids=[" ".join(map(str, case)) for case in FAILING_LOOP_CASES])
 def test_failing_scan_stops_at_the_chunk_of_its_witness(monkeypatch, name, check, arg):
     table, (_, domain, witness, at) = _loop_result(name, check, arg)
     chunks, scan = [], grpalg_mod._scan
