@@ -45,7 +45,7 @@ def main(paths: list[str]) -> int:
             if record.get("trace") != 0:
                 raise ValueError("not a --trace 0 record")
             rows.append(row(record))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
     widths = [max(len(r[i]) for r in rows) for i in range(len(HEADER))]
