@@ -17,8 +17,8 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidParameter, check_count
-from .exactalg import Field, render_scalar_mat, scalar_mat_is_zero
+from .errors import InternalError, InvalidParameter, TooLargeForExhaustive, check_count
+from .exactalg import Field, Mat2Poly, render_scalar_mat, scalar_mat_is_zero
 from .fcrep import UnitPair, eval_laurent, eval_word, unit_pair
 from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, table_leading_term
 from .words import CUMULUS_ONE, Word, word_invariants, words_of_weight_at_most
@@ -79,39 +79,85 @@ def _campaign(
     return CampaignReport(name, params, checked, failures, seed, duration_ms)
 
 
-def enum_words(c_max: int) -> Iterator[Word]:
-    """Every word of cumulus 1..c_max exactly once, graded by cumulus and
-    lexicographic within each grade.
+# The most words of cumulus <= c_max that a run may enumerate: 2*(4^c_max - 1)
+# words, so c_max 7 (32,766 words) is the largest cumulus it admits.
+WORD_LIMIT = 2**15
 
-    Level c is built by right-extending level c-1 with the six cumulus-1
-    words and keeping products of cumulus exactly c; the unique cumulus-1
-    factorization makes this exhaustive and duplicate-free.
-    """
+
+def check_cumulus(c_max: int) -> None:
+    """c_max must be at least 1, and its 2*(4^c_max - 1) words of cumulus
+    <= c_max at most WORD_LIMIT; checked before any word is built."""
     if c_max < 1:
         raise InvalidParameter("c_max must be at least 1")
-    level = sorted(set(CUMULUS_ONE), key=Word.sort_key)
-    yield from level
+    # 2*(4^c_max - 1) exceeds 2^c_max, so a c_max of WORD_LIMIT's bit length
+    # or more is over the bound without forming 4^c_max.
+    if c_max >= WORD_LIMIT.bit_length() or 2 * (4**c_max - 1) > WORD_LIMIT:
+        raise TooLargeForExhaustive(
+            f"2*(4^{c_max} - 1) words of cumulus <= {c_max} exceed the bound"
+            f" WORD_LIMIT = {WORD_LIMIT}"
+        )
+
+
+def _cumulus_levels(c_max: int) -> Iterator[list[tuple[Word, Word, Word]]]:
+    """The words of cumulus 1..c_max, one list per cumulus, each sorted
+    lexicographically, as (word, parent, factor) with word = parent * factor:
+    factor is the last cumulus-1 factor of word, and parent, of cumulus one
+    less, the product of the others (the identity on level 1).
+
+    Level c right-extends level c-1 with the six cumulus-1 words and keeps
+    the products of cumulus exactly c.  By the unique cumulus-1
+    factorization this reaches every word of cumulus c, each from one
+    (parent, factor) pair; a word reached twice raises InternalError.
+    """
+    level = [(u, Word.identity(), u) for u in sorted(CUMULUS_ONE, key=Word.sort_key)]
+    yield level
     for c in range(2, c_max + 1):
-        nxt = set()
-        for w in level:
+        routes = {}
+        for parent, _, _ in level:
             for u in CUMULUS_ONE:
-                cand = w * u
-                if word_invariants(cand).C == c:
-                    nxt.add(cand)
-        level = sorted(nxt, key=Word.sort_key)
-        yield from level
+                w = parent * u
+                if word_invariants(w).C != c:
+                    continue
+                if w in routes:
+                    first = routes[w]
+                    raise InternalError(
+                        f"{w} of cumulus {c} is both {first[0]} * {first[1]} and {parent} * {u}"
+                    )
+                routes[w] = (parent, u)
+        level = [(w, *routes[w]) for w in sorted(routes, key=Word.sort_key)]
+        yield level
+
+
+def enum_words(c_max: int) -> Iterator[Word]:
+    """Every word of cumulus 1..c_max exactly once, graded by cumulus and
+    lexicographic within each grade (see :func:`_cumulus_levels`)."""
+    check_cumulus(c_max)
+    for level in _cumulus_levels(c_max):
+        for w, _, _ in level:
+            yield w
+
+
+def _cumulus_images(c_max: int, up: UnitPair) -> Iterator[tuple[Word, Mat2Poly]]:
+    """Every word of enum_words(c_max) with its image under up.  A word's
+    image is its parent's image times the image of its last cumulus-1
+    factor, one product with a degree-2 right factor; only the previous
+    level's images are kept."""
+    factor_images = {u: eval_word(u, up) for u in CUMULUS_ONE}
+    images = {Word.identity(): Mat2Poly.identity(up.u.field)}
+    for level in _cumulus_levels(c_max):
+        images = {w: images[parent] * factor_images[u] for w, parent, u in level}
+        yield from images.items()
 
 
 def verify_tables(c_max: int, field: Field) -> CampaignReport:
     """For every enumerated word: the primary-pair image has degree exactly
     twice the cumulus, and its leading coefficient is the sign times the
     (beginning, end) table entry."""
+    check_cumulus(c_max)
 
     def outcomes():
-        up = unit_pair("primary", field)
-        for w in enum_words(c_max):
+        for w, img in _cumulus_images(c_max, unit_pair("primary", field)):
             invs = word_invariants(w)
-            img = eval_word(w, up)
             expected = table_leading_term(invs.B, invs.E, field)
             expected = tuple(tuple(field(invs.sgn) * e for e in row) for row in expected)
             ok = img.degree == 2 * invs.C and img.coeff_at(2 * invs.C) == expected
@@ -148,6 +194,7 @@ def verify_obstruction_consistency(
     """Random polynomials: the obstruction matrix equals the coefficient of
     T^(2*cumulus) of the primary-pair evaluation, exactly."""
     check_count("sample_count", sample_count)
+    check_cumulus(c_max)
 
     def outcomes():
         rng = Random(seed)
@@ -214,6 +261,7 @@ def support3_campaign(
     obstruction matrices, transforms, and direct evaluations.  Survivors are
     reported as failures; none are expected."""
     check_count("coeff_samples", coeff_samples)
+    check_cumulus(c_max)
     if fields is None:
         fields = [Field(2), Field(3), Field(0)]
 

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from lpifc.errors import InvalidParameter
+from lpifc import search
+from lpifc.errors import InternalError, InvalidParameter, TooLargeForExhaustive
 from lpifc.exactalg import Field
+from lpifc.fcrep import eval_word, unit_pair
 from lpifc.search import (
     CampaignReport,
+    check_cumulus,
     cprime_bound_campaign,
     enum_words,
     falsify_three_term,
@@ -17,7 +20,14 @@ from lpifc.search import (
     verify_obstruction_consistency,
     verify_tables,
 )
-from lpifc.words import CUMULUS_ONE, Word, parse_word, word_invariants, words_of_weight_at_most
+from lpifc.words import (
+    CUMULUS_ONE,
+    Word,
+    factor_cumulus_one,
+    parse_word,
+    word_invariants,
+    words_of_weight_at_most,
+)
 
 Q = Field(0)
 F2 = Field(2)
@@ -72,6 +82,61 @@ def test_enum_matches_weight_oracle():
 def test_enum_rejects_zero():
     with pytest.raises(InvalidParameter):
         list(enum_words(0))
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=repr)
+def test_cumulus_levels_match_block_evaluation_and_factorization(field):
+    # The sweep multiplies each parent's image by one factor image; the block
+    # powers of eval_word (WordImages) are the independent route.
+    up = unit_pair("primary", field)
+    levels = list(search._cumulus_levels(4))
+    images = list(search._cumulus_images(4, up))
+    triples = [t for level in levels for t in level]
+    assert [w for w, _ in images] == [w for w, _, _ in triples] == list(enum_words(4))
+    assert [len(level) for level in levels] == [6, 24, 96, 384]
+    for (w, parent, factor), (_, image) in zip(triples, images):
+        assert image == eval_word(w, up)
+        assert parent * factor == w
+        assert factor == factor_cumulus_one(w)[-1]
+        assert word_invariants(parent).C == word_invariants(w).C - 1
+
+
+def test_a_word_reached_twice_is_an_internal_error(monkeypatch):
+    # With X^2 posing as a cumulus-1 word, X*Y is both X * Y and X^2 * X^-1*Y.
+    monkeypatch.setattr(search, "CUMULUS_ONE", CUMULUS_ONE + (parse_word("X^2"),))
+    with pytest.raises(InternalError, match=r"^X\*Y of cumulus 2 is both X \* Y and X\^2 \* X\^-1\*Y$"):
+        list(enum_words(2))
+
+
+def test_word_bound_admits_cumulus_seven():
+    check_cumulus(7)
+    for c_max in (8, 40, 10**12):
+        with pytest.raises(TooLargeForExhaustive, match=f"words of cumulus <= {c_max} exceed "
+                           "the bound WORD_LIMIT = 32768"):
+            check_cumulus(c_max)
+
+
+def test_word_bound_is_checked_before_any_word_is_built(monkeypatch):
+    def no_levels(c_max):
+        raise AssertionError("a word was built")
+
+    runs = {
+        "enum_words": lambda c: list(enum_words(c)),
+        "verify_tables": lambda c: verify_tables(c, Q),
+        "consistency": lambda c: verify_obstruction_consistency(4, c, Q),
+        "support3": lambda c: support3_campaign(c, [F2], coeff_samples=1),
+    }
+    # Cumulus <= 2 has 30 words.
+    monkeypatch.setattr(search, "WORD_LIMIT", 29)
+    monkeypatch.setattr(search, "_cumulus_levels", no_levels)
+    for run in runs.values():
+        with pytest.raises(TooLargeForExhaustive, match="WORD_LIMIT = 29"):
+            run(2)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "WORD_LIMIT", 30)
+    assert len(runs.pop("enum_words")(2)) == 30
+    for run in runs.values():
+        assert run(2).failed == 0
 
 
 # -- table campaign ----------------------------------------------------------------
@@ -216,7 +281,7 @@ def _wrong_routes() -> dict:
     """For each campaign, the names in lpifc.search to replace and their wrong
     routes, each failing some checks and passing others."""
     from lpifc.exactalg import Mat2Poly
-    from lpifc.fcrep import eval_laurent, eval_word
+    from lpifc.fcrep import eval_laurent
     from lpifc.laurent import obstruction_matrix
 
     x3 = Word.generator(0, 3)
@@ -231,7 +296,10 @@ def _wrong_routes() -> dict:
         return eval_word(w, up)
 
     return {
-        "verify-tables": {"eval_word": word_image},
+        # The sweep reads each word's image through _cumulus_images.
+        "verify-tables": {
+            "_cumulus_images": lambda c_max, up: ((w, word_image(w, up)) for w in enum_words(c_max))
+        },
         "verify-obstruction-consistency": {
             "obstruction_matrix": lambda f: obstruction_matrix(f.scale(1 + len(f.terms) % 2))
         },

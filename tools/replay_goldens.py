@@ -2,16 +2,17 @@
 
 Usage: python tools/replay_goldens.py COMMAND [ARG...]
 
-Each case in CASES is run as ``COMMAND ARG... <case argv>``, and its stdout,
-stderr and exit code are compared with the transcript of the same argv in
-tests/golden_cli.json.  CI runs it with the ``lpifc`` script that pip
-installed, from outside the checkout and with no PYTHONPATH; the test suite
-runs it with ``python -m lpifc.cli``.  The ``eval`` case takes a block
-power by Cayley-Hamilton, the ``expand`` and ``in-l`` cases read sums of
-words through the power-series expansion and the square-zero parser, the
-``p1`` and last two ``grpalg`` cases run the M2, group-algebra and
-product-group builders, and the ``bac`` case keeps sampled tuples.
-Prints each mismatch and exits 1 if there is any.
+Each case in CASES is run as ``COMMAND ARG... <case argv>``, and its
+stdout, exit code and, where the transcript records it, stderr are compared
+with the transcript of the same argv in tests/golden_cli.json.  CI runs it
+with the ``lpifc`` script that pip installed, from outside the checkout and
+with no PYTHONPATH; the test suite runs it with ``python -m lpifc.cli``.
+The ``eval`` case takes a block power by Cayley-Hamilton, the ``expand`` and
+``in-l`` cases read sums of words through the power-series expansion and the
+square-zero parser, the ``p1`` and last two ``grpalg`` cases run the M2,
+group-algebra and product-group builders, the ``bac`` case keeps sampled
+tuples, and the ``verify-tables`` case builds each word's image from its
+parent's.  Prints each mismatch and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ CASES = (
     ["grpalg", "--group", "cyclic:2xsym:3", "--field", "2", "--json"],
     ["bac", "--algebra", "sqzero2", "--field", "3", "--g", "T^2", "--mode", "sampled",
      "--samples", "200", "--seed", "5"],
+    ["verify-tables", "--cmax", "3", "--field", "5", "--json"],
 )
 
 
@@ -47,7 +49,9 @@ def main(command: list[str]) -> int:
     for argv in CASES:
         case = golden[tuple(argv)]
         run = subprocess.run([*command, *argv], capture_output=True, text=True)
-        if (run.returncode, run.stdout, run.stderr) != (case["exit"], case["stdout"], case["stderr"]):
+        # Some transcripts, as those of verify-tables, record no stderr.
+        stderr = case.get("stderr", run.stderr)
+        if (run.returncode, run.stdout, run.stderr) != (case["exit"], case["stdout"], stderr):
             print(f"{' '.join(command + argv)} differs from its golden transcript"
                   f" (exit {run.returncode}, expected {case['exit']}):")
             print(run.stdout + run.stderr)
