@@ -2,6 +2,7 @@
 three-term-support campaign, degree bounds, and report determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,42 @@ def test_support3_no_survivors_c1():
     report = support3_campaign(c_max=1, fields=[F2, F3, Q], coeff_samples=5, seed=0)
     assert report.failed == 0
     assert report.checked > 0
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: support3_campaign(3, [F2]),
+     {"obstruction": 7389, "obstruction(w1^-1*f)": 468, "obstruction(f*w1^-1)": 18}),
+    (lambda: support3_campaign(2, [F3]),
+     {"obstruction": 1698, "obstruction(w1^-1*f)": 42}),
+    (lambda: support3_campaign(2, [Q], coeff_samples=5, seed=0),
+     {"obstruction": 2157, "obstruction(w1^-1*f)": 18}),
+], ids=["F2-c3", "F3-c2", "Q-c2"])
+def test_falsifier_chain_counts(monkeypatch, run, expected):
+    # How often each falsifier of the chain decides a candidate.
+    counts = Counter()
+
+    def counted(f, w1, units):
+        name = falsify_three_term(f, w1, units)
+        counts[name] += 1
+        return name
+
+    monkeypatch.setattr(search, "falsify_three_term", counted)
+    assert run().failed == 0
+    assert counts == expected
+
+
+@pytest.mark.parametrize("w1, name", [
+    ("X", "obstruction(w1^-1*f)"),
+    ("Y^-1*X", "obstruction(f*w1^-1)"),
+    ("Y^-1", "obstruction(invertX)"),
+])
+def test_falsifier_chain_names_the_deciding_transform(w1, name):
+    # Neither f nor its X<->Y swap has an obstruction; which of the other
+    # maps decides depends on w1.
+    from lpifc.laurent import parse_laurent
+
+    f = parse_laurent("X*Y^-1*X - X^2 - Y^-1", Q)
+    assert falsify_three_term(f, parse_word(w1), {}) == name
 
 
 def test_support3_example_candidates():
