@@ -10,8 +10,8 @@ Verdicts for identity checks are strictly three-valued: "NOT an LPI
 error; there is no positive verdict.
 
 JSON output (--json) is canonical (sorted keys); identical invocations with
-the same seed are byte-identical.  Wall-clock timings are emitted only under
---timings.
+the same seed are byte-identical.  The three campaigns take --timings, which
+adds their wall-clock duration.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 
 from . import expand as expand_mod
@@ -181,30 +182,37 @@ def cmd_expand(args) -> Output:
     return record, lines, 0
 
 
-def _campaign_exit(args, report: search.CampaignReport, headline: str) -> Output:
+def _campaign_exit(args, headline: str, campaign, *params, **options) -> Output:
+    """Run ``campaign(*params, **options)``; under --timings its record gains
+    the wall-clock duration of the run."""
+    start = time.perf_counter()
+    report = campaign(*params, **options)
+    record = report.to_dict()
+    if args.timings:
+        record["duration_ms"] = (time.perf_counter() - start) * 1000
     lines = [headline, f"checked: {report.checked}, passed: {report.passed}, failed: {report.failed}"]
     lines += [f"  FAILURE {failure}" for failure in report.failures[:10]]
-    return report.to_dict(include_timing=args.timings), lines, 0 if report.failed == 0 else 1
+    return record, lines, 0 if report.failed == 0 else 1
 
 
 def cmd_verify_tables(args) -> Output:
     field = Field(args.field)
-    report = search.verify_tables(args.cmax, field)
-    return _campaign_exit(args, report, f"leading-term table sweep, c <= {args.cmax}, {field!r}")
+    return _campaign_exit(args, f"leading-term table sweep, c <= {args.cmax}, {field!r}",
+                          search.verify_tables, args.cmax, field)
 
 
 def cmd_support3(args) -> Output:
     field = Field(args.field)
-    report = search.support3_campaign(
-        c_max=args.cmax, fields=[field], coeff_samples=args.coeff_samples, seed=args.seed
-    )
-    return _campaign_exit(args, report, f"three-term-support campaign, c <= {args.cmax}, {field!r}")
+    return _campaign_exit(args, f"three-term-support campaign, c <= {args.cmax}, {field!r}",
+                          search.support3_campaign, args.cmax, [field],
+                          coeff_samples=args.coeff_samples, seed=args.seed)
 
 
 def cmd_cprime_bound(args) -> Output:
     field = Field(args.field)
-    report = search.cprime_bound_campaign(args.cmax, field, samples=args.samples, seed=args.seed)
-    return _campaign_exit(args, report, f"alternate-pair degree bound, weight <= {args.cmax}, {field!r}")
+    return _campaign_exit(args, f"alternate-pair degree bound, weight <= {args.cmax}, {field!r}",
+                          search.cprime_bound_campaign, args.cmax, field,
+                          samples=args.samples, seed=args.seed)
 
 
 def _algebra_from(spec: str, field: Field) -> grpalg.FinAlgebra:
@@ -370,13 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, expr=False, field=True, seed=False, units=False):
+    def command(name, func, help, expr=False, field=True, seed=False, units=False, timings=False):
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         if expr:
             p.add_argument("expr")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument("--timings", action="store_true", help="include wall-clock durations in JSON")
+        if timings:
+            p.add_argument("--timings", action="store_true",
+                           help="add the campaign's wall-clock duration to JSON")
         if field:
             p.add_argument("--field", type=integer, default=0, metavar="Q",
                            help="coefficient field: 0 for the rationals, a prime p for F_p")
@@ -402,14 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("expand", cmd_expand, "truncated power-series expansion", expr=True)
     p.add_argument("--trunc", type=integer, default=None, help="total-degree truncation bound")
 
-    p = command("verify-tables", cmd_verify_tables, "leading-term table campaign")
+    p = command("verify-tables", cmd_verify_tables, "leading-term table campaign", timings=True)
     p.add_argument("--cmax", type=integer, default=3)
 
-    p = command("support3", cmd_support3, "three-term-support falsification campaign", seed=True)
+    p = command("support3", cmd_support3, "three-term-support falsification campaign", seed=True,
+                timings=True)
     p.add_argument("--cmax", type=integer, default=2)
     p.add_argument("--coeff-samples", type=integer, default=5)
 
-    p = command("cprime-bound", cmd_cprime_bound, "alternate-pair degree bound campaign", seed=True)
+    p = command("cprime-bound", cmd_cprime_bound, "alternate-pair degree bound campaign", seed=True,
+                timings=True)
     p.add_argument("--cmax", type=integer, default=3)
     p.add_argument("--samples", type=integer, default=50)
 

@@ -122,33 +122,10 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r} over {self.field!r})"
 
-    # -- transforms that preserve identity status -------------------------
-
-    def swap_xy(self) -> "LaurentPoly":
-        """Substitute X -> Y, Y -> X (two-variable polynomials only)."""
-        if self.nvars > 2:
-            raise InvalidParameter("swapXY is defined for two-variable polynomials")
-        swap = {X_GEN: Y_GEN, Y_GEN: X_GEN}
-        return LaurentPoly(
-            self.field,
-            {Word(tuple((swap[g], e) for g, e in w.blocks)): c for w, c in self.terms.items()},
-        )
-
-    def invert_x(self) -> "LaurentPoly":
-        """Substitute X -> X^-1 (negate every X-block exponent in place)."""
-        return LaurentPoly(
-            self.field,
-            {
-                Word(tuple((g, -e if g == X_GEN else e) for g, e in w.blocks)): c
-                for w, c in self.terms.items()
-            },
-        )
-
-    def left_mul(self, w: Word) -> "LaurentPoly":
-        return LaurentPoly(self.field, {w * v: c for v, c in self.terms.items()})
-
-    def right_mul(self, w: Word) -> "LaurentPoly":
-        return LaurentPoly(self.field, {v * w: c for v, c in self.terms.items()})
+    def map_words(self, fn) -> "LaurentPoly":
+        """Replace each word w by fn(w), summing the coefficients of words
+        that fn sends to one word."""
+        return LaurentPoly._from_sum(self.field, sparse_sum((fn(w), c) for w, c in self.terms.items()))
 
 
 def _read_xy(ts: TokenStream) -> tuple[tuple[int, int]]:
@@ -246,4 +223,4 @@ def reduce_to_two_vars(f: LaurentPoly, nvars: int | None = None) -> LaurentPoly:
         Word.generator(X_GEN, g + 1) * Word.generator(Y_GEN) * Word.generator(X_GEN, -(g + 1))
         for g in range(n)
     )
-    return LaurentPoly._from_sum(f.field, sparse_sum((image(w), c) for w, c in f.terms.items()))
+    return f.map_words(image)

@@ -4,14 +4,12 @@ obstruction-vs-evaluation consistency, the three-term-support falsification
 campaign, and the alternate-pair degree bound.
 
 Campaigns are deterministic: all randomness flows from a single seed recorded
-in the report, enumeration is graded by cumulus then lexicographic, and the
-JSON serialization is canonical (timings are opt-in so re-runs are
-byte-identical).
+in the report, enumeration is graded by cumulus then lexicographic, and two
+runs with the same arguments give equal reports.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from random import Random
@@ -21,7 +19,7 @@ from .errors import InternalError, InvalidParameter, TooLargeForExhaustive, chec
 from .exactalg import Field, Mat2Poly, render_scalar_mat, scalar_mat_is_zero
 from .fcrep import UnitPair, eval_laurent, eval_word, unit_pair
 from .laurent import LaurentPoly, max_cumulus, obstruction_matrix, table_leading_term
-from .words import CUMULUS_ONE, Word, word_invariants, words_of_weight_at_most
+from .words import CUMULUS_ONE, W_X, W_XINV, W_Y, Word, WordImages, word_invariants, words_of_weight_at_most
 
 
 @dataclass
@@ -38,7 +36,6 @@ class CampaignReport:
     checked: int
     failures: list[dict] = dc_field(default_factory=list)
     seed: int | None = None
-    duration_ms: float = 0.0
 
     @property
     def failed(self) -> int:
@@ -48,8 +45,8 @@ class CampaignReport:
     def passed(self) -> int:
         return self.checked - self.failed
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "campaign": self.campaign,
             "params": self.params,
             "checked": self.checked,
@@ -58,44 +55,41 @@ class CampaignReport:
             "failures": self.failures,
             "seed": self.seed,
         }
-        if include_timing:
-            out["duration_ms"] = self.duration_ms
-        return out
 
 
 def _campaign(
     name: str, params: dict, seed: int | None, outcomes: Iterable[dict | None]
 ) -> CampaignReport:
     """Run a campaign's checks, one per item of ``outcomes``: None when the
-    check passed, else the failure record with the inputs that reproduce it.
-    The duration is the time taken to exhaust ``outcomes``."""
-    start = time.perf_counter()
+    check passed, else the failure record with the inputs that reproduce it."""
     checked, failures = 0, []
     for outcome in outcomes:
         checked += 1
         if outcome is not None:
             failures.append(outcome)
-    duration_ms = (time.perf_counter() - start) * 1000
-    return CampaignReport(name, params, checked, failures, seed, duration_ms)
+    return CampaignReport(name, params, checked, failures, seed)
 
 
-# The most words of cumulus <= c_max that a run may enumerate: 2*(4^c_max - 1)
-# words, so c_max 7 (32,766 words) is the largest cumulus it admits.
+# The most words that a run may enumerate: 2*(4^c_max - 1) words of cumulus
+# <= c_max admit c_max 7 (32,766 words), and 2*3^c_max - 1 words of weight
+# <= c_max admit c_max 8 (13,121 words).
 WORD_LIMIT = 2**15
 
 
-def check_cumulus(c_max: int) -> None:
-    """c_max must be at least 1, and its 2*(4^c_max - 1) words of cumulus
-    <= c_max at most WORD_LIMIT; checked before any word is built."""
+def _check_words(c_max: int, count, words: str) -> None:
+    """c_max must be at least 1, and count(c_max), the number of ``words``,
+    at most WORD_LIMIT; checked before any word is built."""
     if c_max < 1:
         raise InvalidParameter("c_max must be at least 1")
-    # 2*(4^c_max - 1) exceeds 2^c_max, so a c_max of WORD_LIMIT's bit length
-    # or more is over the bound without forming 4^c_max.
-    if c_max >= WORD_LIMIT.bit_length() or 2 * (4**c_max - 1) > WORD_LIMIT:
-        raise TooLargeForExhaustive(
-            f"2*(4^{c_max} - 1) words of cumulus <= {c_max} exceed the bound"
-            f" WORD_LIMIT = {WORD_LIMIT}"
-        )
+    # Each count exceeds 2^c_max, so a c_max of WORD_LIMIT's bit length or
+    # more is over the bound without forming the count.
+    if c_max >= WORD_LIMIT.bit_length() or count(c_max) > WORD_LIMIT:
+        raise TooLargeForExhaustive(f"{words} exceed the bound WORD_LIMIT = {WORD_LIMIT}")
+
+
+def check_cumulus(c_max: int) -> None:
+    """The 2*(4^c_max - 1) words of cumulus <= c_max within the bound."""
+    _check_words(c_max, lambda c: 2 * (4**c - 1), f"2*(4^{c_max} - 1) words of cumulus <= {c_max}")
 
 
 def _cumulus_levels(c_max: int) -> Iterator[list[tuple[Word, Word, Word]]]:
@@ -230,19 +224,25 @@ def _coefficient_pairs(field: Field, coeff_samples: int, rng: Random):
     return pairs
 
 
+def _transforms(w1: Word) -> tuple:
+    """The word maps of the falsifier chain, each keeping identity status:
+    both translations by w1^-1, X <-> Y and X -> X^-1."""
+    inv = w1.inv()
+    return (
+        ("obstruction(w1^-1*f)", lambda w: inv * w),
+        ("obstruction(f*w1^-1)", lambda w: w * inv),
+        ("obstruction(swapXY)", WordImages((W_Y, W_X))),
+        ("obstruction(invertX)", WordImages((W_XINV, W_Y))),
+    )
+
+
 def falsify_three_term(f: LaurentPoly, w1: Word, units: dict[str, UnitPair]) -> str | None:
     """Try the falsifier chain on f = 1 + a1*w1 + a2*w2; the name of the
     first successful falsifier, or None for a survivor."""
     if not scalar_mat_is_zero(obstruction_matrix(f)):
         return "obstruction"
-    transforms = [
-        ("obstruction(w1^-1*f)", f.left_mul(w1.inv())),
-        ("obstruction(f*w1^-1)", f.right_mul(w1.inv())),
-        ("obstruction(swapXY)", f.swap_xy()),
-        ("obstruction(invertX)", f.invert_x()),
-    ]
-    for name, g in transforms:
-        if not scalar_mat_is_zero(obstruction_matrix(g)):
+    for name, fn in _transforms(w1):
+        if not scalar_mat_is_zero(obstruction_matrix(f.map_words(fn))):
             return name
     for name, up in units.items():
         if not eval_laurent(f, up).is_zero:
@@ -268,8 +268,8 @@ def support3_campaign(
     def outcomes():
         rng = Random(seed)
         one = Word.identity()
+        words = list(enum_words(c_max))
         for field in fields:
-            words = list(enum_words(c_max))
             pairs = _coefficient_pairs(field, coeff_samples, rng)
             units = {kind: unit_pair(kind, field) for kind in ("primary", "alternate", "swapped")}
             for i, w1 in enumerate(words):
@@ -295,8 +295,7 @@ def cprime_bound_campaign(
     total exponent weight, for every word of weight <= c_max and for sampled
     polynomials supported on them."""
     check_count("samples", samples)
-    if c_max < 1:
-        raise InvalidParameter("c_max must be at least 1")
+    _check_words(c_max, lambda c: 2 * 3**c - 1, f"2*3^{c_max} - 1 words of weight <= {c_max}")
     if field is None:
         field = Field(0)
 

@@ -55,7 +55,8 @@ from lpifc.exactalg import Field, Mat2Poly
 # its own. The `p1` entries on `group:cyclic:2xcyclic:2xcyclic:2`, whose
 # table scan of 16,384 pairs (four chunks) fails in its first chunk, were
 # recorded at commit 2192625, where a failing scan still evaluated every
-# tuple after its witness.
+# tuple after its witness. The `cprime-bound --cmax 40` entries were recorded
+# once the words of weight <= c_max became bounded.
 GOLDEN_ALL = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 GOLDEN_THEKEY = [c for c in GOLDEN_ALL if c["argv"][0] == "thekey"]
 EVALUATIONS = ("eval", "verify-tables")
@@ -260,9 +261,74 @@ def test_json_byte_identical_reruns(capsys):
     assert det1 == det2
 
 
-def test_timings_flag_adds_duration(capsys):
-    _, record, _ = run_json(capsys, "support3", "--cmax", "1", "--field", "2", "--timings")
-    assert "duration_ms" in record
+# One argv that runs for each subcommand; only the campaigns take --timings.
+CAMPAIGN_RUNS = {
+    "verify-tables": ["--cmax", "1"],
+    "support3": ["--cmax", "1", "--field", "2"],
+    "cprime-bound": ["--cmax", "1", "--field", "2", "--samples", "3"],
+}
+UNTIMED_RUNS = {
+    "word": ["X*Y"],
+    "obstruct": ["X*Y - Y*X"],
+    "eval": ["X - 1"],
+    "in-l": ["a*b"],
+    "extract-g": ["X - 1"],
+    "thekey": ["--degree-bound", "1"],
+    "expand": ["X - 1", "--trunc", "2"],
+    "grpalg": ["--group", "cyclic:2", "--field", "2"],
+    "p1": ["--algebra", "m2", "--field", "2", "--g", "T"],
+    "bac": ["--algebra", "sqzero1", "--field", "2", "--g", "T"],
+    "finitecondi": ["--q", "2", "--g", "T"],
+    "standard-poly": ["--algebra", "m2", "--field", "2", "--k", "2"],
+}
+
+
+def test_timings_is_declared_on_the_campaigns_only():
+    import argparse
+
+    from lpifc.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(CAMPAIGN_RUNS) | set(UNTIMED_RUNS)
+    timed = {name for name, p in sub.choices.items() if "--timings" in p._option_string_actions}
+    assert timed == set(CAMPAIGN_RUNS)
+
+
+@pytest.mark.parametrize("command", UNTIMED_RUNS)
+def test_timings_is_a_usage_error_outside_the_campaigns(capsys, command):
+    argv = [command, *UNTIMED_RUNS[command]]
+    assert run(capsys, *argv)[0] in (0, 1)
+    code, out, err = run(capsys, *argv, "--timings")
+    assert (code, out) == (2, "")
+    # argparse hands an option that no subparser declares back to the top
+    # parser, which prints its own usage line.
+    assert err.startswith("usage: lpifc ")
+    assert err.endswith("lpifc: error: unrecognized arguments: --timings\n")
+
+
+@pytest.mark.parametrize("command", CAMPAIGN_RUNS)
+def test_timings_adds_only_the_duration(capsys, command):
+    argv = [command, *CAMPAIGN_RUNS[command]]
+    _, untimed, _ = run_json(capsys, *argv)
+    _, timed, _ = run_json(capsys, *argv, "--timings")
+    duration = timed.pop("duration_ms")
+    assert isinstance(duration, float) and duration >= 0
+    assert timed == untimed
+
+
+def test_report_schema(capsys):
+    _, record, _ = run_json(capsys, "verify-tables", "--cmax", "1", "--timings")
+    assert set(record) == {
+        "campaign",
+        "params",
+        "checked",
+        "passed",
+        "failed",
+        "failures",
+        "seed",
+        "duration_ms",
+    }
+    assert record["failed"] == len(record["failures"])
 
 
 def test_grpalg_group_file(tmp_path, capsys):

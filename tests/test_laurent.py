@@ -19,8 +19,20 @@ from lpifc.laurent import (
     reduce_to_two_vars,
     table_leading_term,
 )
+from lpifc import search
 from lpifc.search import enum_words
-from lpifc.words import X_GEN, Y_GEN, Letter, Word, parse_word, word_invariants
+from lpifc.words import (
+    W_X,
+    W_XINV,
+    W_Y,
+    X_GEN,
+    Y_GEN,
+    Letter,
+    Word,
+    WordImages,
+    parse_word,
+    word_invariants,
+)
 
 Q = Field(0)
 F2 = Field(2)
@@ -212,20 +224,55 @@ def test_single_word_obstruction_per_cell(cell):
         assert obstruction_matrix(f) == expected
 
 
-# -- transforms ----------------------------------------------------------------------
+# -- word maps -------------------------------------------------------------------------
 
 
 def test_transform_swap():
-    assert parse_laurent("X*Y - Y*X", Q).swap_xy() == parse_laurent("Y*X - X*Y", Q)
+    swap = WordImages((W_Y, W_X))
+    assert parse_laurent("X*Y - Y*X", Q).map_words(swap) == parse_laurent("Y*X - X*Y", Q)
 
 
 def test_transform_left_mul():
     f = parse_laurent("X + X*Y", Q)
-    assert f.left_mul(parse_word("X^-1")) == parse_laurent("1 + Y", Q)
+    assert f.map_words(lambda w: parse_word("X^-1") * w) == parse_laurent("1 + Y", Q)
 
 
 def test_transform_invert_x():
-    assert parse_laurent("X - 1", Q).invert_x() == parse_laurent("X^-1 - 1", Q)
+    invert = WordImages((W_XINV, W_Y))
+    assert parse_laurent("X - 1", Q).map_words(invert) == parse_laurent("X^-1 - 1", Q)
+
+
+def test_map_words_sums_the_coefficients_of_merged_words():
+    f = parse_laurent("2*X + 3*Y^-1 - 5*X*Y", Q)
+    assert f.map_words(lambda w: Word.identity()).is_zero
+    assert f.map_words(lambda w: W_X if w.weight == 1 else w) == parse_laurent("5*X - 5*X*Y", Q)
+
+
+def _rewrite(f, blocks):
+    """f with the block list of each word rewritten by ``blocks``."""
+    return LaurentPoly(f.field, [(Word.from_blocks(blocks(list(w.blocks))), c) for w, c in f.terms.items()])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([Q, F2, F3, F5]).flatmap(_polys), st.sampled_from(_WORDS4))
+def test_falsifier_word_maps_match_block_rewrites(args, w1):
+    # The maps of the support-3 falsifier chain: translations concatenate the
+    # blocks of w1^-1, X <-> Y swaps the generator indices and X -> X^-1
+    # negates the X exponents; the last two are involutions.
+    field, f = args
+    maps = dict(search._transforms(w1))
+    inv = [(g, -e) for g, e in reversed(w1.blocks)]
+    rewrites = {
+        "obstruction(w1^-1*f)": lambda blocks: inv + blocks,
+        "obstruction(f*w1^-1)": lambda blocks: blocks + inv,
+        "obstruction(swapXY)": lambda blocks: [(Y_GEN - g, e) for g, e in blocks],
+        "obstruction(invertX)": lambda blocks: [(g, -e if g == X_GEN else e) for g, e in blocks],
+    }
+    assert list(maps) == list(rewrites)
+    for name, rewrite in rewrites.items():
+        assert f.map_words(maps[name]) == _rewrite(f, rewrite)
+    for name in ("obstruction(swapXY)", "obstruction(invertX)"):
+        assert f.map_words(maps[name]).map_words(maps[name]) == f
 
 
 # -- variable reduction ----------------------------------------------------------------

@@ -11,8 +11,11 @@ The ``eval`` case takes a block power by Cayley-Hamilton, the ``expand`` and
 ``in-l`` cases read sums of words through the power-series expansion and the
 square-zero parser, the ``p1`` and last two ``grpalg`` cases run the M2,
 group-algebra and product-group builders, the ``bac`` case keeps sampled
-tuples, and the ``verify-tables`` case builds each word's image from its
-parent's.  Prints each mismatch and exits 1 if there is any.
+tuples, the ``verify-tables`` case builds each word's image from its
+parent's, the ``support3`` case decides 42 of its candidates by a
+translation of the polynomial's words, and the ``cprime-bound`` case stops
+at the bound on the words it would enumerate.  Prints each mismatch and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ CASES = (
     ["bac", "--algebra", "sqzero2", "--field", "3", "--g", "T^2", "--mode", "sampled",
      "--samples", "200", "--seed", "5"],
     ["verify-tables", "--cmax", "3", "--field", "5", "--json"],
+    ["support3", "--cmax", "2", "--field", "3", "--seed", "1", "--coeff-samples", "1", "--json"],
+    ["cprime-bound", "--cmax", "40"],
 )
 
 
