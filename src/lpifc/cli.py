@@ -385,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("expr")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         if timings:
-            p.add_argument("--timings", action="store_true",
-                           help="add the campaign's wall-clock duration to JSON")
+            p.add_argument("--timings", action="store_true", help="add the wall-clock duration to JSON")
         if field:
             p.add_argument("--field", type=integer, default=0, metavar="Q",
                            help="coefficient field: 0 for the rationals, a prime p for F_p")

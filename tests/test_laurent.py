@@ -1,5 +1,5 @@
 """Laurent polynomials: parsing, support, cumulus, obstruction matrix,
-transforms, and the many-to-two variable reduction."""
+word maps, and the many-to-two variable reduction."""
 
 import random
 from fractions import Fraction
